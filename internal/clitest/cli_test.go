@@ -114,20 +114,30 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIStreamFormatRoundTrip: both log formats cordial-gen writes are
+// read back by cordial-study, which tells them apart without a flag, and
+// the two files hold the same events, so the two studies agree.
 func TestCLIStreamFormatRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bin := buildAll(t)
 	work := t.TempDir()
-	logPath := filepath.Join(work, "fleet.stream")
-	out := run(t, bin, "cordial-gen", "-seed", "6", "-uer-banks", "30",
-		"-benign-banks", "50", "-log", logPath, "-format", "stream", "-truth", "")
-	if !strings.Contains(out, "30 faulty banks") {
-		t.Fatalf("gen output: %s", out)
+	studies := map[string]string{}
+	for _, format := range []string{"wire", "jsonl"} {
+		logPath := filepath.Join(work, "fleet."+format)
+		out := run(t, bin, "cordial-gen", "-seed", "6", "-uer-banks", "30",
+			"-benign-banks", "50", "-log", logPath, "-format", format, "-truth", "")
+		if !strings.Contains(out, "30 faulty banks") {
+			t.Fatalf("%s: gen output: %s", format, out)
+		}
+		out = run(t, bin, "cordial-study", "-log", logPath)
+		if !strings.Contains(out, "sudden-UER ratios") {
+			t.Fatalf("%s: study output: %s", format, out)
+		}
+		studies[format] = out
 	}
-	out = run(t, bin, "cordial-study", "-log", logPath, "-format", "stream")
-	if !strings.Contains(out, "sudden-UER ratios") {
-		t.Fatalf("study output: %s", out)
+	if studies["wire"] != studies["jsonl"] {
+		t.Fatalf("study output differs between formats:\nwire:\n%s\njsonl:\n%s", studies["wire"], studies["jsonl"])
 	}
 }

@@ -204,8 +204,10 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 	}
 
 	n2 := startNode(t, cpSrv.URL, "n2")
+	// The control plane publishes the new descriptor only after the
+	// agents adopt it and the sources drop, so wait for that too.
 	waitFor(t, "join rebalance", func() bool {
-		return n2.agent.Epoch() == 2 && n1.agent.Epoch() == 2
+		return n2.agent.Epoch() == 2 && n1.agent.Epoch() == 2 && cp.Descriptor().Epoch == 2
 	})
 
 	// Placement: every bank's session lives exactly on its ring owner,
@@ -253,7 +255,7 @@ func TestClusterJoinHandoffLeave(t *testing.T) {
 	if err := n2.agent.Leave(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "leave rebalance", func() bool { return n1.agent.Epoch() == 3 })
+	waitFor(t, "leave rebalance", func() bool { return n1.agent.Epoch() == 3 && cp.Descriptor().Epoch == 3 })
 	for b := 0; b < banks; b++ {
 		st, ok := n1.engine.Session(clusterBank(b))
 		if !ok || st.Events != rowsPer {

@@ -119,6 +119,10 @@ func (l Layout) Bits() int {
 	return n
 }
 
+// Mask returns the bits any field occupies: a packed address with a bit
+// outside it is not one Pack could have produced under this layout.
+func (l Layout) Mask() uint64 { return l.used }
+
 // capacity returns the number of distinct values field f can encode.
 func (l Layout) capacity(f field) int { return 1 << l.width[f] }
 

@@ -2,47 +2,148 @@ package mcelog
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
+	"testing/iotest"
+
+	"cordial/internal/hbm"
 )
 
-// FuzzReadBinary verifies the binary codec never panics and never silently
-// accepts corrupted input as a different log.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid log and a few mutations.
-	l := FromEvents(randomEvents(10, 1))
-	var buf bytes.Buffer
-	if err := l.WriteBinary(&buf); err != nil {
+// FuzzReadLog verifies the file reader never panics, admits only events
+// that validate, and never silently accepts input as a different log:
+// whatever it accepts must survive a FrameEncoder → ReadLog round trip.
+func FuzzReadLog(f *testing.F) {
+	g := hbm.DefaultGeometry
+	var wire bytes.Buffer
+	enc := NewFrameEncoder(&wire, 4)
+	for _, e := range randomEvents(10, 1) {
+		if err := enc.Add(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := wire.Bytes()
 	f.Add(valid)
 	f.Add(valid[:5])
 	f.Add([]byte{})
-	f.Add([]byte("MCEL"))
+	f.Add([]byte(wireMagic))
 	mutated := append([]byte{}, valid...)
-	mutated[12] ^= 0xff
+	mutated[14] ^= 0xff
 	f.Add(mutated)
+	var jsonl bytes.Buffer
+	if err := FromEvents(randomEvents(5, 3)).WriteJSONL(&jsonl); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(jsonl.Bytes())
+	f.Add(jsonl.Bytes()[:10])
+	f.Add([]byte("CBF1\x01\x00"))
+	stray := AppendWireRecord(nil, randomEvents(1, 4)[0])
+	stray[15] |= 0x80 // packed-address bit 63: outside every layout
+	f.Add(append([]byte(wireMagic), encodeFrame(stray)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := ReadBinary(bytes.NewReader(data))
+		log, err := ReadLog(bytes.NewReader(data), g)
 		if err != nil {
 			return
 		}
-		// Round-trip property: whatever parses must re-serialise and
-		// re-parse identically.
+		for i, ev := range log.Events() {
+			if err := ev.Validate(g); err != nil {
+				t.Fatalf("accepted event %d fails validation: %v", i, err)
+			}
+		}
 		var out bytes.Buffer
-		if err := log.WriteBinary(&out); err != nil {
-			t.Fatalf("reserialise: %v", err)
+		enc := NewFrameEncoder(&out, 0)
+		for _, ev := range log.Events() {
+			if err := enc.Add(ev); err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
 		}
-		again, err := ReadBinary(&out)
+		if err := enc.Flush(); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := ReadLog(&out, g)
 		if err != nil {
-			t.Fatalf("reparse: %v", err)
+			t.Fatalf("re-read: %v", err)
 		}
-		if again.Len() != log.Len() {
-			t.Fatalf("round trip changed length %d -> %d", log.Len(), again.Len())
+		sameEvents(t, again.Events(), log.Events())
+	})
+}
+
+// FuzzReadBinary verifies that ReadLog on a CBF2 file agrees with the frame
+// decoder: it accepts exactly when every frame decodes and every event
+// validates, and then returns exactly the decoded events.
+func FuzzReadBinary(f *testing.F) {
+	var wire bytes.Buffer
+	enc := NewFrameEncoder(&wire, 4)
+	for _, e := range randomEvents(10, 1) {
+		if err := enc.Add(e); err != nil {
+			f.Fatal(err)
 		}
+	}
+	if err := enc.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	valid := wire.Bytes()
+	f.Add(valid)
+	f.Add(valid[:5])
+	f.Add([]byte{})
+	f.Add([]byte(wireMagic))
+	mutated := append([]byte{}, valid...)
+	mutated[14] ^= 0xff
+	f.Add(mutated)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && !bytes.HasPrefix(data, []byte(wireMagic)) {
+			return // not a frame file: ReadLog reads it as JSON Lines
+		}
+		g := hbm.DefaultGeometry
+		want, err := decodeFrames(bytes.NewReader(data))
+		for i := 0; err == nil && i < len(want); i++ {
+			err = want[i].Validate(g)
+		}
+		log, rerr := ReadLog(bytes.NewReader(data), g)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("ReadLog error %v, decoder+Validate error %v", rerr, err)
+		}
+		if rerr == nil {
+			sameEvents(t, log.Events(), want)
+		}
+	})
+}
+
+// FuzzStreamReader verifies the frame decoder never panics, decodes the
+// same events however its reads are chunked, and preserves the valid prefix
+// of torn streams.
+func FuzzStreamReader(f *testing.F) {
+	var wire bytes.Buffer
+	enc := NewFrameEncoder(&wire, 1)
+	for _, e := range randomEvents(5, 3) {
+		if err := enc.Add(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	valid := wire.Bytes()
+	f.Add(valid)
+	f.Add(valid[:10])
+	f.Add([]byte(wireMagic + "\x01\x00"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		full, err := decodeFrames(bytes.NewReader(data))
+		bytewise, berr := decodeFrames(iotest.OneByteReader(bytes.NewReader(data)))
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("whole-buffer error %v, byte-at-a-time error %v", err, berr)
+		}
+		sameEvents(t, bytewise, full)
+		torn, _ := decodeFrames(bytes.NewReader(data[:len(data)/2]))
+		if len(torn) > len(full) {
+			t.Fatalf("torn half decoded %d events, whole stream %d", len(torn), len(full))
+		}
+		sameEvents(t, torn, full[:len(torn)])
 	})
 }
 
@@ -73,39 +174,6 @@ func FuzzReadJSONL(f *testing.F) {
 		var out bytes.Buffer
 		if err := log.WriteJSONL(&out); err != nil {
 			t.Fatalf("reserialise: %v", err)
-		}
-	})
-}
-
-// FuzzStreamReader verifies the streaming codec never panics and preserves
-// the valid prefix of torn streams.
-func FuzzStreamReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	for _, e := range randomEvents(5, 3) {
-		if err := w.Write(e); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:10])
-	f.Add([]byte("MCES\x01\x00"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewStreamReader(bytes.NewReader(data))
-		for i := 0; i < 10000; i++ {
-			_, err := r.Next()
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				return // any error terminates cleanly
-			}
 		}
 	})
 }

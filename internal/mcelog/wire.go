@@ -16,10 +16,10 @@ import (
 //
 // JSONL ingest pays a JSON parse and several allocations per event; at
 // fleet rates the wire becomes the bottleneck before the predictor does.
-// This format is the streaming counterpart of the MCEL file codec: the
-// same fixed 19-byte record, length-prefixed into CRC-framed batches so a
-// reader can decode incrementally with zero allocations and reject a
-// corrupt or truncated frame before acting on any of its events.
+// This is the one binary event format, for files (ReadLog), streams and
+// HTTP alike: fixed 19-byte records, length-prefixed into CRC-framed
+// batches so a reader can decode incrementally with zero allocations and
+// reject a corrupt or truncated frame before acting on any of its events.
 //
 //	stream: magic "CBF2"
 //	frame:  uint32 payload length | uint32 CRC-32C over payload | payload
@@ -31,22 +31,17 @@ import (
 // reported as an error. The CRC is the Castagnoli polynomial (hardware-
 // accelerated on amd64/arm64), the same one the WAL uses — a frame's
 // payload bytes are exactly what the durable engine journals per event.
-//
-// Decoders also accept the previous "CBF1" stream, whose 17-byte records
-// lack the error-bit field; its events decode with Bits zero. Encoders
-// always emit CBF2.
+// A frame whose CRC verifies is still rejected when any record's packed
+// address has bits outside the active layout: Unpack would silently alias
+// it onto a different, valid-looking address.
 const (
-	wireMagic   = "CBF2"
-	wireMagicV1 = "CBF1"
+	wireMagic = "CBF2"
 
 	wireFrameHdrSize = 8 // u32 payload length | u32 crc32c(payload)
 
 	// WireRecordSize is the fixed per-event record size, shared with the
-	// MCEL file codec and the engine's WAL event records.
+	// engine's WAL event records.
 	WireRecordSize = 19
-
-	// wireRecordSizeV1 is the record size of the legacy CBF1 stream.
-	wireRecordSizeV1 = 17
 )
 
 // MaxWireFrameBytes caps one frame's payload. Decoded lengths are
@@ -58,8 +53,9 @@ const MaxWireFrameBytes = 1 << 20
 var wireCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrWireFrame reports a malformed binary stream: bad magic, an
-// implausible length prefix, a checksum mismatch, or truncation inside a
-// frame. The stream cannot be trusted past this point.
+// implausible length prefix, a checksum mismatch, truncation inside a
+// frame, or a packed address outside the active layout. The stream cannot
+// be trusted past this point.
 var ErrWireFrame = errors.New("mcelog: malformed binary frame")
 
 // AppendWireRecord appends one event's fixed-size record to dst.
@@ -72,8 +68,9 @@ func AppendWireRecord(dst []byte, ev Event) []byte {
 	return append(dst, rec[:]...)
 }
 
-// DecodeWireRecord unpacks one fixed-size record. The class byte is not
-// validated here — callers validate events against their geometry, which
+// DecodeWireRecord unpacks one fixed-size record and checks nothing:
+// FrameDecoder.Next rejects out-of-layout addresses in the frames it
+// returns, and callers validate events against their geometry, which
 // subsumes the class check.
 func DecodeWireRecord(rec []byte) Event {
 	_ = rec[WireRecordSize-1]
@@ -85,46 +82,30 @@ func DecodeWireRecord(rec []byte) Event {
 	}
 }
 
-// decodeWireRecordV1 unpacks a legacy 17-byte CBF1 record (no error bits).
-func decodeWireRecordV1(rec []byte) Event {
-	_ = rec[wireRecordSizeV1-1]
-	return Event{
-		Time:  time.Unix(0, int64(binary.LittleEndian.Uint64(rec[0:8]))).UTC(),
-		Addr:  hbm.Unpack(binary.LittleEndian.Uint64(rec[8:16])),
-		Class: ecc.Class(rec[16]),
-	}
-}
-
 // WireFrame is a decoded, checksum-verified view over one frame's payload.
 // It borrows the decoder's buffer: valid only until the next call to Next
 // or Reset.
 type WireFrame struct {
 	payload []byte
-	recSize int
 }
 
 // Len returns the number of events in the frame.
-func (f WireFrame) Len() int { return len(f.payload) / f.recSize }
+func (f WireFrame) Len() int { return len(f.payload) / WireRecordSize }
 
 // Event decodes record i. It allocates nothing.
 func (f WireFrame) Event(i int) Event {
-	rec := f.payload[i*f.recSize : (i+1)*f.recSize]
-	if f.recSize == wireRecordSizeV1 {
-		return decodeWireRecordV1(rec)
-	}
-	return DecodeWireRecord(rec)
+	return DecodeWireRecord(f.payload[i*WireRecordSize : (i+1)*WireRecordSize])
 }
 
-// FrameDecoder reads a "CBF1" stream frame by frame. The zero value is
+// FrameDecoder reads a "CBF2" stream frame by frame. The zero value is
 // not usable; construct with NewFrameDecoder and reuse across streams via
 // Reset — the payload buffer is retained, so steady-state decoding
 // allocates nothing (pinned by TestWireDecodeZeroAllocs).
 type FrameDecoder struct {
-	r       io.Reader
-	buf     []byte
-	hdr     [wireFrameHdrSize]byte
-	opened  bool // magic consumed
-	recSize int  // per-record size implied by the stream's magic
+	r      io.Reader
+	buf    []byte
+	hdr    [wireFrameHdrSize]byte
+	opened bool // magic consumed
 }
 
 // NewFrameDecoder returns a decoder over r.
@@ -152,12 +133,7 @@ func (d *FrameDecoder) Next() (WireFrame, error) {
 			}
 			return WireFrame{}, fmt.Errorf("%w: truncated magic: %w", ErrWireFrame, err)
 		}
-		switch string(d.hdr[:4]) {
-		case wireMagic:
-			d.recSize = WireRecordSize
-		case wireMagicV1:
-			d.recSize = wireRecordSizeV1
-		default:
+		if string(d.hdr[:4]) != wireMagic {
 			return WireFrame{}, fmt.Errorf("%w: bad magic %q", ErrWireFrame, d.hdr[:4])
 		}
 		d.opened = true
@@ -175,8 +151,8 @@ func (d *FrameDecoder) Next() (WireFrame, error) {
 		return WireFrame{}, fmt.Errorf("%w: empty frame", ErrWireFrame)
 	case length > MaxWireFrameBytes:
 		return WireFrame{}, fmt.Errorf("%w: frame of %d bytes exceeds max %d", ErrWireFrame, length, MaxWireFrameBytes)
-	case length%uint32(d.recSize) != 0:
-		return WireFrame{}, fmt.Errorf("%w: frame of %d bytes is not a whole number of %d-byte records", ErrWireFrame, length, d.recSize)
+	case length%WireRecordSize != 0:
+		return WireFrame{}, fmt.Errorf("%w: frame of %d bytes is not a whole number of %d-byte records", ErrWireFrame, length, WireRecordSize)
 	}
 	if cap(d.buf) < int(length) {
 		d.buf = make([]byte, length)
@@ -190,10 +166,17 @@ func (d *FrameDecoder) Next() (WireFrame, error) {
 	if sum := crc32.Checksum(d.buf, wireCRCTable); sum != crc {
 		return WireFrame{}, fmt.Errorf("%w: payload checksum mismatch: computed %#x, stored %#x", ErrWireFrame, sum, crc)
 	}
-	return WireFrame{payload: d.buf, recSize: d.recSize}, nil
+	mask := hbm.ActiveProfile().Layout.Mask()
+	for off := 8; off < len(d.buf); off += WireRecordSize {
+		if v := binary.LittleEndian.Uint64(d.buf[off:]); v&^mask != 0 {
+			_, err := hbm.UnpackChecked(v)
+			return WireFrame{}, fmt.Errorf("%w: record %d: %w", ErrWireFrame, off/WireRecordSize, err)
+		}
+	}
+	return WireFrame{payload: d.buf}, nil
 }
 
-// FrameEncoder writes a "CBF1" stream. Events accumulate into a pending
+// FrameEncoder writes a "CBF2" stream. Events accumulate into a pending
 // frame that is emitted once it holds maxEvents records or on Flush; call
 // Flush before trusting that every added event is on the wire.
 type FrameEncoder struct {

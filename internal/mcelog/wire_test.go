@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"cordial/internal/ecc"
@@ -70,15 +71,26 @@ func encodeWireStream(t testing.TB, evs []Event, frameEvents int) []byte {
 
 func decodeWireStream(t testing.TB, data []byte) []Event {
 	t.Helper()
-	dec := NewFrameDecoder(bytes.NewReader(data))
+	out, err := decodeFrames(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	return out
+}
+
+// decodeFrames decodes frames from r until the stream ends or fails. It
+// returns the events of every frame accepted before the end, and the
+// decoder's error (nil on a clean end).
+func decodeFrames(r io.Reader) ([]Event, error) {
+	dec := NewFrameDecoder(r)
 	var out []Event
 	for {
 		fr, err := dec.Next()
 		if err == io.EOF {
-			return out
+			return out, nil
 		}
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			return out, err
 		}
 		for i := 0; i < fr.Len(); i++ {
 			out = append(out, fr.Event(i))
@@ -158,6 +170,14 @@ func TestWireDecodeErrors(t *testing.T) {
 		}},
 		{"ragged length", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:8], WireRecordSize+1)
+			return b
+		}},
+		// CRC-valid, but record 0's packed address has bit 63 set: Unpack
+		// would alias it onto a valid address.
+		{"stray address bit", func(b []byte) []byte {
+			payload := b[4+wireFrameHdrSize : 4+wireFrameHdrSize+5*WireRecordSize]
+			payload[8+7] |= 0x80
+			binary.LittleEndian.PutUint32(b[8:12], crc32.Checksum(payload, wireCRCTable))
 			return b
 		}},
 	}
@@ -290,9 +310,9 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	bad[len(bad)-1] ^= 0x40
 	f.Add(bad) // CRC mismatch
 	// Correctly framed but poisoned payload: all-ones timestamp (pre-epoch
-	// once sign-extended), out-of-geometry packed address, junk class byte.
-	// The framing layer must pass it through (its CRC is valid) and leave
-	// the rejection to per-record validation — decoding must not panic.
+	// once sign-extended), out-of-layout packed address, junk class byte.
+	// Its CRC is valid; the decoder must reject the address bits as a
+	// framing error, never panic.
 	poison := make([]byte, WireRecordSize)
 	for i := range poison {
 		poison[i] = 0xff
@@ -327,7 +347,7 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 				_ = fr.Event(i)
 			}
 			total += fr.Len()
-			if total > len(data) { // each event costs ≥17 input bytes
+			if total > len(data) { // each event costs ≥19 input bytes
 				t.Fatalf("decoded %d events from %d input bytes", total, len(data))
 			}
 		}
@@ -392,4 +412,107 @@ func BenchmarkWireFrameEncode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e9/(float64(b.N)*float64(len(evs))), "ns/event")
+}
+
+// streamRecordFrame is the size of a one-record CBF2 frame: the shape an
+// append-as-you-go writer produces when it flushes every event.
+const streamRecordFrame = wireFrameHdrSize + WireRecordSize
+
+// TestStreamRoundTrip: one-record frames fed through a reader that yields a
+// byte at a time decode event for event, then end cleanly.
+func TestStreamRoundTrip(t *testing.T) {
+	events := randomEvents(300, 21)
+	dec := NewFrameDecoder(iotest.OneByteReader(bytes.NewReader(encodeWireStream(t, events, 1))))
+	for i, want := range events {
+		fr, err := dec.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if fr.Len() != 1 {
+			t.Fatalf("record %d: frame holds %d events, want 1", i, fr.Len())
+		}
+		sameEvents(t, []Event{fr.Event(0)}, []Event{want})
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// TestStreamReadAll: ReadLog reads a whole one-record-per-frame stream
+// delivered in short reads.
+func TestStreamReadAll(t *testing.T) {
+	events := randomEvents(50, 22)
+	log, err := ReadLog(iotest.HalfReader(bytes.NewReader(encodeWireStream(t, events, 1))), hbm.DefaultGeometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEvents(t, log.Events(), events)
+}
+
+// TestStreamTornWriteKeepsPrefix: a stream torn inside its last frame
+// yields every earlier frame before the decoder reports the tear. ReadLog,
+// which reads whole files, refuses the torn file.
+func TestStreamTornWriteKeepsPrefix(t *testing.T) {
+	events := randomEvents(20, 23)
+	data := encodeWireStream(t, events, 1)
+	torn := data[:len(data)-10]
+	got, err := decodeFrames(bytes.NewReader(torn))
+	if !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("torn stream error = %v", err)
+	}
+	sameEvents(t, got, events[:19])
+	if _, err := ReadLog(bytes.NewReader(torn), hbm.DefaultGeometry); !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("ReadLog on torn file: got %v, want ErrWireFrame", err)
+	}
+}
+
+// TestStreamBitFlipDetected: a flipped bit in record 2 fails that frame's
+// CRC; records 0 and 1 were already delivered.
+func TestStreamBitFlipDetected(t *testing.T) {
+	events := randomEvents(5, 24)
+	data := encodeWireStream(t, events, 1)
+	data[len(wireMagic)+2*streamRecordFrame+wireFrameHdrSize+3] ^= 0x40
+	got, err := decodeFrames(bytes.NewReader(data))
+	if !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("bit flip error = %v", err)
+	}
+	sameEvents(t, got, events[:2])
+}
+
+// TestStreamRejectsBadHeader: a foreign magic, the retired CBF1 magic and a
+// magic cut short are all framing errors.
+func TestStreamRejectsBadHeader(t *testing.T) {
+	body := encodeWireStream(t, randomEvents(2, 26), 1)[len(wireMagic):]
+	for _, data := range [][]byte{
+		append([]byte("XXXX"), body...),
+		append([]byte("CBF1"), body...),
+		[]byte("CB"),
+	} {
+		if _, err := NewFrameDecoder(bytes.NewReader(data)).Next(); !errors.Is(err, ErrWireFrame) {
+			t.Errorf("header %q: got %v, want ErrWireFrame", data[:min(len(data), 4)], err)
+		}
+	}
+}
+
+// TestStreamRejectsInvalidClassEvenWithValidCRC: a record whose class byte
+// is junk but whose frame CRC was recomputed passes the framing layer; the
+// per-event validation that ReadLog and ingest apply refuses it.
+func TestStreamRejectsInvalidClassEvenWithValidCRC(t *testing.T) {
+	data := encodeWireStream(t, randomEvents(1, 25), 1)
+	payload := data[len(wireMagic)+wireFrameHdrSize:]
+	payload[16] = 0xEE
+	binary.LittleEndian.PutUint32(data[len(wireMagic)+4:], crc32.Checksum(payload, wireCRCTable))
+	fr, err := NewFrameDecoder(bytes.NewReader(data)).Next()
+	if err != nil {
+		t.Fatalf("CRC-valid frame refused by the decoder: %v", err)
+	}
+	if fr.Event(0).Class != ecc.Class(0xEE) {
+		t.Fatalf("decoded class %v, want the junk byte 0xEE", fr.Event(0).Class)
+	}
+	if err := fr.Event(0).Validate(hbm.DefaultGeometry); err == nil {
+		t.Fatal("junk class passed event validation")
+	}
+	if _, err := ReadLog(bytes.NewReader(data), hbm.DefaultGeometry); err == nil {
+		t.Fatal("ReadLog accepted a junk class byte")
+	}
 }

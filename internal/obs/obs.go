@@ -469,6 +469,67 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.load()
 }
 
+// Quantile estimates the q-quantile (0 < q <= 1) of the observations by
+// bucketQuantile — the estimate Snapshot.Quantile derives from a scrape of
+// this histogram. The second return is false when nothing was observed.
+func (h *Histogram) Quantile(q float64) (float64, bool) {
+	if h == nil {
+		return 0, false
+	}
+	buckets := make([]bucket, len(h.counts))
+	cum := 0.0
+	for i := range h.counts {
+		cum += float64(h.counts[i].Load())
+		buckets[i] = bucket{le: math.Inf(1), cum: cum}
+		if i < len(h.bounds) {
+			buckets[i].le = h.bounds[i]
+		}
+	}
+	return bucketQuantile(buckets, q)
+}
+
+// bucket is one cumulative histogram bucket: cum observations were <= le.
+type bucket struct {
+	le, cum float64
+}
+
+// bucketQuantile estimates the q-quantile (0 < q <= 1) from cumulative
+// buckets sorted by le, the last one +Inf. It interpolates linearly inside
+// the target bucket, the estimate Prometheus' histogram_quantile gives; a
+// target in the +Inf bucket reports the highest finite bound. The second
+// return is false when the buckets hold no observations.
+func bucketQuantile(buckets []bucket, q float64) (float64, bool) {
+	if len(buckets) == 0 || q <= 0 || q > 1 {
+		return 0, false
+	}
+	total := buckets[len(buckets)-1].cum
+	if total == 0 {
+		return 0, false
+	}
+	rank := q * total
+	for i, b := range buckets {
+		if b.cum < rank {
+			continue
+		}
+		if math.IsInf(b.le, 1) {
+			// Off the ladder: report the highest finite bound.
+			if i > 0 {
+				return buckets[i-1].le, true
+			}
+			return 0, false
+		}
+		lower, prevCum := 0.0, 0.0
+		if i > 0 {
+			lower, prevCum = buckets[i-1].le, buckets[i-1].cum
+		}
+		if b.cum == prevCum {
+			return b.le, true
+		}
+		return lower + (b.le-lower)*(rank-prevCum)/(b.cum-prevCum), true
+	}
+	return buckets[len(buckets)-1].le, true
+}
+
 func (h *Histogram) renderTo(w io.Writer, name, labelStr string) {
 	cum := uint64(0)
 	for i, b := range h.bounds {

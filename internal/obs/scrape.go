@@ -116,16 +116,12 @@ func (s *Snapshot) SumByName(name string) (float64, bool) {
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the histogram family
 // name from its cumulative <name>_bucket series, restricted to series
-// whose labels include every given label. It interpolates linearly inside
-// the target bucket, the same estimate histogram_quantile gives. The
-// second return is false when the histogram is absent or empty.
+// whose labels include every given label. It applies bucketQuantile, the
+// estimator Histogram.Quantile uses, so a scrape and the live histogram
+// agree. The second return is false when the histogram is absent or empty.
 func (s *Snapshot) Quantile(name string, q float64, labels ...Label) (float64, bool) {
-	if s == nil || q <= 0 || q > 1 {
+	if s == nil {
 		return 0, false
-	}
-	type bucket struct {
-		le  float64
-		cum float64
 	}
 	var buckets []bucket
 	for _, i := range s.byName[name+"_bucket"] {
@@ -143,36 +139,8 @@ func (s *Snapshot) Quantile(name string, q float64, labels ...Label) (float64, b
 		}
 		buckets = append(buckets, bucket{le: bound, cum: smp.Value})
 	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	for i, b := range buckets {
-		if b.cum < rank {
-			continue
-		}
-		if math.IsInf(b.le, 1) {
-			// Off the ladder: report the highest finite bound.
-			if i > 0 {
-				return buckets[i-1].le, true
-			}
-			return 0, false
-		}
-		lower, prevCum := 0.0, 0.0
-		if i > 0 {
-			lower, prevCum = buckets[i-1].le, buckets[i-1].cum
-		}
-		if b.cum == prevCum {
-			return b.le, true
-		}
-		return lower + (b.le-lower)*(rank-prevCum)/(b.cum-prevCum), true
-	}
-	return buckets[len(buckets)-1].le, true
+	return bucketQuantile(buckets, q)
 }
 
 // parseSampleLine splits one exposition line into name, labels and value.

@@ -54,6 +54,24 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if !ok || p99 <= 0.1 || p99 > 1 {
 		t.Errorf("P99 = %v, %v; want in (0.1, 1]", p99, ok)
 	}
+	// The live histogram gives the scrape's estimate exactly: one
+	// estimator over the same bucket counts.
+	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1} {
+		want, _ := snap.Quantile("latency_seconds", q)
+		if got, ok := h.Quantile(q); !ok || got != want {
+			t.Errorf("Histogram.Quantile(%v) = %v, %v; scrape says %v", q, got, ok, want)
+		}
+	}
+	if got, ok := h.Quantile(0.5); got != 0.01*50/90 || !ok {
+		t.Errorf("Histogram.Quantile(0.5) = %v, %v; want %v (interpolated in the first bucket)", got, ok, 0.01*50/90)
+	}
+	var empty *Histogram
+	if _, ok := empty.Quantile(0.5); ok {
+		t.Error("nil histogram reported a quantile")
+	}
+	if _, ok := r.Histogram("idle_seconds", "never observed", nil).Quantile(0.5); ok {
+		t.Error("empty histogram reported a quantile")
+	}
 }
 
 // TestParseTextSpecials covers special values, timestamps and escapes.

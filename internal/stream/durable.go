@@ -38,11 +38,6 @@ type DurabilityConfig struct {
 	SyncInterval time.Duration
 	// SegmentBytes is the journal segment rotation size (0 = 8 MiB).
 	SegmentBytes int64
-	// NoGroupCommit disables WAL group commit. By default, concurrent
-	// appends under SyncAlways coalesce into shared fsyncs (each ack still
-	// waits for the fsync covering its record); set this to force one
-	// fsync per append, trading throughput for simpler failure analysis.
-	NoGroupCommit bool
 	// SnapshotKeep is how many snapshot files to retain (0 = 3).
 	SnapshotKeep int
 }
@@ -144,7 +139,7 @@ func (e *Engine) ingestDurable(s *shard, ev mcelog.Event) error {
 	}
 	t0 := time.Now()
 	s.in.push(queued{ev: ev, lsn: lsn})
-	e.ingestWait.observe(time.Since(t0))
+	e.metrics.ingestWaitDur.ObserveSince(t0)
 	e.metrics.ingested.Inc()
 	return nil
 }
@@ -223,7 +218,7 @@ func (e *Engine) ingestBatchDurable(events []mcelog.Event, sc *batchScratch) (ac
 			}
 			t0 := time.Now()
 			e.shards[si].in.pushBatch(g)
-			e.ingestWait.observe(time.Since(t0))
+			e.metrics.ingestWaitDur.ObserveSince(t0)
 			accepted += len(g)
 		}
 		e.metrics.ingested.Add(uint64(accepted))
@@ -655,7 +650,7 @@ func (e *Engine) recoverDurable() error {
 		SegmentBytes: dcfg.SegmentBytes,
 		Sync:         dcfg.Sync,
 		SyncInterval: dcfg.SyncInterval,
-		GroupCommit:  !dcfg.NoGroupCommit,
+		GroupCommit:  true,
 		Metrics:      e.cfg.Metrics,
 	})
 	if err != nil {

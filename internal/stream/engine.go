@@ -263,11 +263,11 @@ type EngineStats struct {
 	IngestRate float64
 	// QueueDepths is the current per-shard input queue occupancy.
 	QueueDepths []int
-	// IngestWait samples the time Ingest spent enqueueing (the
-	// backpressure signal).
+	// IngestWait summarises the time Ingest spent enqueueing (the
+	// backpressure signal): the cordial_ingest_wait_seconds histogram.
 	IngestWait LatencySnapshot
-	// Process samples per-event session time (feature extraction +
-	// model inference).
+	// Process summarises per-event session time (feature extraction +
+	// model inference): the cordial_process_seconds histogram.
 	Process LatencySnapshot
 	// FeatureStateBytes approximates the resident bytes of all live
 	// sessions' incremental feature state. Each session's state is bounded
@@ -327,10 +327,9 @@ type Engine struct {
 	shards []*shard
 	start  time.Time
 
-	actions    chan Action
-	metrics    engineMetrics
-	ingestWait latencySampler
-	batchPool  sync.Pool // *batchScratch, sized to the shard count
+	actions   chan Action
+	metrics   engineMetrics
+	batchPool sync.Pool // *batchScratch, sized to the shard count
 
 	// walAppendErrs / lastAppendErr track journal-append failures for
 	// readiness: a serving daemon that cannot persist intake is not ready.
@@ -382,7 +381,6 @@ type shard struct {
 	processed   *obs.Counter
 	dropped     *obs.Counter
 	quarantined *obs.Counter
-	process     latencySampler
 
 	// ingestMu serialises journal-append + enqueue so queue order equals
 	// LSN order within the shard (the invariant replay depends on). Only
@@ -554,7 +552,7 @@ func (e *Engine) Ingest(ev mcelog.Event) error {
 		if !s.in.push(queued{ev: ev}) {
 			return ErrClosed
 		}
-		e.ingestWait.observe(time.Since(t0))
+		e.metrics.ingestWaitDur.ObserveSince(t0)
 	}
 	e.metrics.ingested.Inc()
 	return nil
@@ -617,7 +615,7 @@ func (e *Engine) IngestBatch(events []mcelog.Event) (accepted, dropped int, err 
 			if !s.in.pushBatch(g) {
 				break // closing: events already queued still process
 			}
-			e.ingestWait.observe(time.Since(t0))
+			e.metrics.ingestWaitDur.ObserveSince(t0)
 			accepted += len(g)
 		}
 	}
@@ -753,7 +751,7 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 			primCoveredUER = true
 		}
 	}
-	out = foldEvent(bs, ev, &s.process)
+	out = foldEvent(bs, ev, e.metrics.processDur)
 	s.stateBytes += int64(bs.stats.StateBytes - prevBytes)
 	s.stateRows += int64(bs.stats.StateRows - prevRows)
 	if bs.stats.StateReleased && !prevReleased {
@@ -791,12 +789,10 @@ func (e *Engine) apply(s *shard, q queued) (out []Action, dead *DeadLetter) {
 // caller owns panic handling: a panic from the strategy session unwinds
 // through here with bs.stats partially updated, and the caller must mark
 // the session degraded.
-func foldEvent(bs *bankSession, ev mcelog.Event, proc *latencySampler) (out []Action) {
+func foldEvent(bs *bankSession, ev mcelog.Event, proc *obs.Histogram) (out []Action) {
 	t0 := time.Now()
 	d := bs.sess.OnEvent(ev)
-	if proc != nil {
-		proc.observe(time.Since(t0))
-	}
+	proc.ObserveSince(t0)
 
 	bs.stats.Events++
 	bs.stats.LastEvent = ev.Time
@@ -932,10 +928,10 @@ func (e *Engine) Stats() EngineStats {
 		ActionsDropped: e.metrics.actionsDropped.Value(),
 		Shards:         len(e.shards),
 		QueueDepths:    make([]int, len(e.shards)),
-		IngestWait:     e.ingestWait.snapshot(),
+		IngestWait:     latencyOf(e.metrics.ingestWaitDur),
+		Process:        latencyOf(e.metrics.processDur),
 	}
 	st.ShardStateBytes = make([]int64, len(e.shards))
-	var proc latencySampler
 	for i, s := range e.shards {
 		st.Processed += s.processed.Value()
 		st.Dropped += s.dropped.Value()
@@ -949,9 +945,7 @@ func (e *Engine) Stats() EngineStats {
 		st.SessionsReleased += s.released
 		st.SessionsDegraded += s.degraded
 		s.mu.Unlock()
-		proc.merge(&s.process)
 	}
-	st.Process = proc.snapshot()
 	st.ActiveModelVersion = e.ActiveModelVersion()
 	st.ModelSwaps = e.metrics.modelSwaps.Value()
 	st.Shadow = e.ShadowStats()

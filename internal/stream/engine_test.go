@@ -456,31 +456,6 @@ func (s *recordingSession) OnEvent(e mcelog.Event) core.Decision {
 	return core.Decision{}
 }
 
-func TestLatencySampler(t *testing.T) {
-	var l latencySampler
-	if s := l.snapshot(); s.Count != 0 || s.Max != 0 {
-		t.Fatalf("zero sampler snapshot %+v", s)
-	}
-	for i := 1; i <= 100; i++ {
-		l.observe(time.Duration(i) * time.Millisecond)
-	}
-	s := l.snapshot()
-	if s.Count != 100 || s.Max != 100*time.Millisecond {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.P50 < 40*time.Millisecond || s.P50 > 60*time.Millisecond {
-		t.Errorf("p50 %v out of range", s.P50)
-	}
-	if s.P99 < s.P90 || s.P90 < s.P50 {
-		t.Errorf("quantiles not monotone: %+v", s)
-	}
-	var m latencySampler
-	m.merge(&l)
-	if got := m.snapshot(); got.Count != 100 || got.Max != s.Max {
-		t.Errorf("merged snapshot %+v", got)
-	}
-}
-
 func TestMix64Spreads(t *testing.T) {
 	// Bank keys differ only in high-ish bits (row/col zeroed); the mixer
 	// must spread sequential banks across shards reasonably evenly.

@@ -52,7 +52,6 @@ func (e *Engine) registerMetrics() {
 		"Time Ingest spent enqueueing an event (the backpressure signal).", nil)
 	m.processDur = reg.Histogram("cordial_process_seconds",
 		"Per-event session time: feature extraction plus model inference.", nil)
-	e.ingestWait.attach(m.ingestWaitDur)
 
 	m.modelSwaps = reg.Counter("cordial_model_swaps_total",
 		"Model swaps that took effect (new sessions bind the new version).")
@@ -141,7 +140,6 @@ func (e *Engine) registerMetrics() {
 			"Events fully run through a bank session.", shard)
 		s.quarantined = reg.Counter("cordial_events_quarantined_total",
 			"Events whose processing panicked; preserved in the dead-letter file when configured.", shard)
-		s.process.attach(m.processDur)
 		reg.GaugeFunc("cordial_shard_queue_depth",
 			"Current shard input queue occupancy.",
 			func() float64 { return float64(s.in.length()) }, shard)

@@ -168,6 +168,8 @@ func TestStatszMetricsAgree(t *testing.T) {
 		Quarantined    uint64 `json:"quarantined"`
 		Process        struct {
 			Count uint64 `json:"count"`
+			P50   string `json:"p50"`
+			P99   string `json:"p99"`
 		} `json:"processLatency"`
 	}
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -192,6 +194,29 @@ func TestStatszMetricsAgree(t *testing.T) {
 	}
 	if st.Ingested == 0 || st.Processed == 0 {
 		t.Fatalf("test ingested nothing (ingested=%d processed=%d)", st.Ingested, st.Processed)
+	}
+
+	// One latency store, two renderings: the /statsz quantiles are the
+	// estimates a scraper derives from the same histogram's buckets.
+	snap, err := obs.ParseText(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    float64
+		json string
+	}{{0.50, st.Process.P50}, {0.99, st.Process.P99}} {
+		v, ok := snap.Quantile("cordial_process_seconds", tc.q)
+		if !ok {
+			t.Fatalf("no cordial_process_seconds quantile in the scrape")
+		}
+		got, err := time.ParseDuration(tc.json)
+		if err != nil {
+			t.Fatalf("statsz p%v %q: %v", tc.q*100, tc.json, err)
+		}
+		if want := time.Duration(v * float64(time.Second)); got != want {
+			t.Errorf("process p%v: /statsz %v != /metrics %v", tc.q*100, got, want)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func (e *Engine) resolveDurable(version uint64) (core.DurableStrategy, error) {
 // ---- swap records ----------------------------------------------------------
 
 // A model swap is journaled like an event: a fixed 12-byte record, length-
-// discriminated from the 17-byte event records sharing the journal. Replay
+// discriminated from the 19-byte event records sharing the journal. Replay
 // re-installs the epoch at the same position, so sessions created after
 // the swap rebind the same version they bound live.
 const (

@@ -84,8 +84,8 @@ type Server struct {
 
 	requests  *obs.Counter
 	notOwned  *obs.Counter
-	decode    latencySampler
-	binDecode latencySampler
+	decode    *obs.Histogram
+	binDecode *obs.Histogram
 	binPool   sync.Pool // *binScratch: frame decoder + event slice reuse
 
 	// ownership is nil while the node serves standalone (it owns every
@@ -116,10 +116,10 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 		"HTTP requests served (all routes).")
 	s.notOwned = reg.Counter("cordial_http_not_owned_total",
 		"Ingest batches refused because a bank is outside this node's ring ownership.")
-	s.decode.attach(reg.Histogram("cordial_http_decode_seconds",
-		"Per-line JSONL event decode time on POST /v1/events.", nil))
-	s.binDecode.attach(reg.Histogram("cordial_http_bin_decode_seconds",
-		"Per-frame binary decode time on POST /v1/events.bin.", nil))
+	s.decode = reg.Histogram("cordial_http_decode_seconds",
+		"Per-line JSONL event decode time on POST /v1/events.", nil)
+	s.binDecode = reg.Histogram("cordial_http_bin_decode_seconds",
+		"Per-frame binary decode time on POST /v1/events.bin.", nil)
 	s.binPool.New = func() any { return &binScratch{dec: mcelog.NewFrameDecoder(nil)} }
 	reg.GaugeFunc("cordial_actions_stored",
 		"Actions currently held in the bounded GET /v1/actions store.",
@@ -246,7 +246,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		t0 := time.Now()
 		ev, err := mcelog.ParseJSONEvent(line)
-		s.decode.observe(time.Since(t0))
+		s.decode.ObserveSince(t0)
 		if err != nil {
 			reject(err)
 			continue
@@ -303,15 +303,15 @@ type binScratch struct {
 }
 
 // handleEventsBin ingests a length-prefixed CRC-framed binary batch (the
-// mcelog wire codec: "CBF1" magic, then u32 length | u32 crc32c | N×17-byte
+// mcelog wire codec: "CBF2" magic, then u32 length | u32 crc32c | N×19-byte
 // records per frame). It mirrors handleEvents' response contract — same
 // IngestResult shape, same consumed-prefix rule on 503 — but moves whole
 // frames through Engine.IngestBatch, so a frame costs one shard lock round
 // and (when durable) one WAL batch append instead of per-event synchronisation.
 //
 // Error semantics differ from JSONL in one deliberate way: a framing error
-// (bad CRC, truncated or oversized frame) is a 400, not a per-record
-// rejection. A corrupt frame leaves no way to find the next frame boundary,
+// (bad CRC, truncated or oversized frame, a packed address outside the
+// layout) is a 400, not a per-record rejection. A corrupt frame leaves no way to find the next frame boundary,
 // so the rest of the body is undecodable; counts in the response cover the
 // frames consumed before the corruption.
 func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +334,7 @@ func (s *Server) handleEventsBin(w http.ResponseWriter, r *http.Request) {
 	for {
 		t0 := time.Now()
 		fr, err := bs.dec.Next()
-		s.binDecode.observe(time.Since(t0))
+		s.binDecode.ObserveSince(t0)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				break
@@ -631,7 +631,6 @@ type jsonLatency struct {
 	P50   string `json:"p50"`
 	P90   string `json:"p90"`
 	P99   string `json:"p99"`
-	Max   string `json:"max"`
 }
 
 func toJSONLatency(l LatencySnapshot) jsonLatency {
@@ -641,7 +640,6 @@ func toJSONLatency(l LatencySnapshot) jsonLatency {
 		P50:   l.P50.String(),
 		P90:   l.P90.String(),
 		P99:   l.P99.String(),
-		Max:   l.Max.String(),
 	}
 }
 
@@ -747,7 +745,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ActionsStored:  stored,
 		ActionsEvicted: evicted,
 		HTTPRequests:   s.requests.Value(),
-		Decode:         toJSONLatency(s.decode.snapshot()),
+		Decode:         toJSONLatency(latencyOf(s.decode)),
 		IngestWait:     toJSONLatency(es.IngestWait),
 		Process:        toJSONLatency(es.Process),
 		StateBytes:     es.FeatureStateBytes,

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -88,6 +90,29 @@ func TestServerEventsBinCorrupt(t *testing.T) {
 	res := postBin(t, srv, bytes.NewBuffer(raw), http.StatusBadRequest)
 	if res.Accepted != 2 || !res.Truncated {
 		t.Fatalf("ingest result %+v, want 2 accepted (first frame) and truncated", res)
+	}
+	if err := engine.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerEventsBinStrayAddressBits: a frame whose CRC verifies but whose
+// record has a packed-address bit outside the layout is a framing error
+// (400), not a record that aliases onto a valid address; the frame before
+// it is already ingested and counted.
+func TestServerEventsBinStrayAddressBits(t *testing.T) {
+	engine, srv := newTestServer(t, Config{Shards: 1})
+	body := binBody(t, 2, uerAt(testBank(1), 1, 0), uerAt(testBank(1), 2, 1),
+		uerAt(testBank(1), 3, 2), uerAt(testBank(1), 4, 3))
+	raw := body.Bytes()
+	frame := 8 + 2*mcelog.WireRecordSize // header + two records
+	second := 4 + frame                  // after the magic and frame 1
+	payload := raw[second+8 : second+frame]
+	payload[8+7] |= 0x80 // bit 63 of record 0's packed address
+	binary.LittleEndian.PutUint32(raw[second+4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	res := postBin(t, srv, bytes.NewBuffer(raw), http.StatusBadRequest)
+	if res.Accepted != 2 || !res.Truncated || len(res.Errors) != 1 {
+		t.Fatalf("ingest result %+v, want 2 accepted (first frame), truncated, one error", res)
 	}
 	if err := engine.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)

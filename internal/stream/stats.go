@@ -1,131 +1,38 @@
 package stream
 
 import (
-	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"cordial/internal/obs"
 )
 
-// latencySamplerSize bounds the quantile reservoir. 1024 recent samples
-// give stable p50/p99 for a monitoring endpoint without unbounded memory.
-const latencySamplerSize = 1024
-
-// latencySampler accumulates duration observations: exact count/sum/max
-// plus a ring of recent samples for quantiles. Safe for concurrent use.
-//
-// When a histogram is attached (attach), every observation is mirrored
-// into it, so the Prometheus view on /metrics and the quantile view on
-// /statsz derive from the same observe() calls — one source of truth,
-// two renderings.
-type latencySampler struct {
-	hist *obs.Histogram // nil-safe; shared across shards for one metric
-
-	mu    sync.Mutex
-	count uint64
-	sum   time.Duration
-	max   time.Duration
-	ring  [latencySamplerSize]time.Duration
-	next  int
-}
-
-// attach mirrors future observations into h (call before any observe).
-func (l *latencySampler) attach(h *obs.Histogram) { l.hist = h }
-
-// observe records one duration.
-func (l *latencySampler) observe(d time.Duration) {
-	l.hist.Observe(d.Seconds())
-	l.mu.Lock()
-	l.count++
-	l.sum += d
-	if d > l.max {
-		l.max = d
-	}
-	l.ring[l.next%latencySamplerSize] = d
-	l.next++
-	l.mu.Unlock()
-}
-
-// merge folds other's observations into l (used to aggregate per-shard
-// samplers into one snapshot). Samples are copied oldest-first: a wrapped
-// ring (other.next > latencySamplerSize) starts at its eviction cursor,
-// an unwrapped one at index 0, so the destination ring stays in
-// chronological order and later wrap-around evicts the oldest samples
-// first. Not mirrored into the histogram — merge aggregates observations
-// that were already counted at their original observe site.
-func (l *latencySampler) merge(other *latencySampler) {
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	l.count += other.count
-	l.sum += other.sum
-	if other.max > l.max {
-		l.max = other.max
-	}
-	n := other.next
-	start := 0
-	if n > latencySamplerSize {
-		// Wrapped: the oldest surviving sample sits where the next write
-		// would land.
-		n = latencySamplerSize
-		start = other.next % latencySamplerSize
-	}
-	for i := 0; i < n; i++ {
-		l.ring[l.next%latencySamplerSize] = other.ring[(start+i)%latencySamplerSize]
-		l.next++
-	}
-}
-
-// LatencySnapshot summarises a latency distribution at one instant. The
-// quantiles are computed over a reservoir of recent samples; Count, Mean
-// and Max are exact over the sampler's lifetime.
+// LatencySnapshot summarises one latency histogram at an instant: the
+// histogram that GET /metrics renders, so /statsz and a scrape report the
+// same distribution. Count and Mean are exact; the quantiles are the
+// bucket-interpolated estimates of obs.Histogram.Quantile.
 type LatencySnapshot struct {
 	// Count is the number of observations.
 	Count uint64
 	// Mean is the lifetime average.
 	Mean time.Duration
-	// P50, P90 and P99 are quantiles over recent samples.
+	// P50, P90 and P99 are estimated quantiles over the lifetime.
 	P50, P90, P99 time.Duration
-	// Max is the lifetime maximum.
-	Max time.Duration
 }
 
-// nearestRank returns the nearest-rank quantile of sorted: the smallest
-// element whose rank r (1-based) satisfies r >= ceil(q*n). Unlike floor
-// indexing (int(q*(n-1))), this never understates the tail: for q=0.99
-// and n=10 it returns the 10th sample, not the 9th.
-func nearestRank(sorted []time.Duration, q float64) time.Duration {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return sorted[rank-1]
-}
-
-// snapshot computes the current summary.
-func (l *latencySampler) snapshot() LatencySnapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := LatencySnapshot{Count: l.count, Max: l.max}
-	if l.count == 0 {
+// latencyOf summarises a seconds-valued histogram.
+func latencyOf(h *obs.Histogram) LatencySnapshot {
+	s := LatencySnapshot{Count: h.Count()}
+	if s.Count == 0 {
 		return s
 	}
-	s.Mean = l.sum / time.Duration(l.count)
-	n := l.next
-	if n > latencySamplerSize {
-		n = latencySamplerSize
+	s.Mean = seconds(h.Sum() / float64(s.Count))
+	q := func(p float64) time.Duration {
+		v, _ := h.Quantile(p)
+		return seconds(v)
 	}
-	recent := make([]time.Duration, n)
-	copy(recent, l.ring[:n])
-	sort.Slice(recent, func(i, j int) bool { return recent[i] < recent[j] })
-	s.P50, s.P90, s.P99 = nearestRank(recent, 0.50), nearestRank(recent, 0.90), nearestRank(recent, 0.99)
+	s.P50, s.P90, s.P99 = q(0.50), q(0.90), q(0.99)
 	return s
 }
+
+// seconds converts a histogram value to a duration.
+func seconds(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }

@@ -82,6 +82,12 @@ echo "==> fuzz smoke (binary wire-frame decoder, 5s)"
 # an over-read, or a record that a re-encode wouldn't reproduce.
 go test -run '^$' -fuzz 'FuzzBinaryFrameDecode' -fuzztime 5s ./internal/mcelog/
 
+echo "==> fuzz smoke (event-log file reader, 5s)"
+# ReadLog reads either file format off disk: arbitrary bytes must come back
+# as a log whose every event validates and that survives a CBF2 re-encode,
+# or as an error — never a panic.
+go test -run '^$' -fuzz 'FuzzReadLog' -fuzztime 5s ./internal/mcelog/
+
 echo "==> bench smoke (1 iteration)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
