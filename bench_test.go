@@ -18,6 +18,7 @@ import (
 	"cordial/internal/core"
 	"cordial/internal/ecc"
 	"cordial/internal/experiments"
+	"cordial/internal/features"
 	"cordial/internal/mcelog"
 	"cordial/internal/mltree"
 	"cordial/internal/stream"
@@ -453,8 +454,10 @@ func BenchmarkHistGBDTFit(b *testing.B) {
 	})
 }
 
-// BenchmarkPredictBatch measures flat-tree batch inference over the whole
-// dataset at 1 worker vs all cores.
+// BenchmarkPredictBatch measures offline batch inference (the worker-pool
+// path fitting, calibration and evaluation use) over the whole dataset at 1
+// worker vs all cores. Serving does not take this path: it scores one row
+// at a time through PredictProbaInto (BenchmarkBlockWindow).
 func BenchmarkPredictBatch(b *testing.B) {
 	ds := mltreeBenchData()
 	f := mltree.NewForest(mltree.ForestConfig{
@@ -473,6 +476,66 @@ func BenchmarkPredictBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(ds.NumSamples()*b.N)/b.Elapsed().Seconds(), "rows/sec")
 	})
+}
+
+// blockWindow is a served-size pipeline (an 80-tree block forest) and a
+// bank state positioned on its third UER: one window of the per-UER hot
+// path.
+type blockWindow struct {
+	pipe   *Pipeline
+	state  *features.BankState
+	anchor int
+	now    time.Time
+}
+
+var blockWindowBench = sync.OnceValue(func() blockWindow {
+	spec := DefaultFleetSpec()
+	spec.UERBanks = 60
+	spec.BenignBanks = 0
+	spec.Seed = 23
+	fleet, err := Simulate(spec)
+	if err != nil {
+		panic(err)
+	}
+	cfg := DefaultConfig(RandomForest)
+	cfg.Params.Trees = 80
+	pipe, err := TrainWithConfig(cfg, fleet.Faults)
+	if err != nil {
+		panic(err)
+	}
+	for _, bf := range fleet.Faults {
+		if len(bf.UERRows) < 3 {
+			continue
+		}
+		st, err := pipe.NewBankState()
+		if err != nil {
+			panic(err)
+		}
+		now := bf.UERTimes[2]
+		for _, e := range bf.Events {
+			if !e.Time.After(now) {
+				st.Observe(e)
+			}
+		}
+		return blockWindow{pipe: pipe, state: st, anchor: bf.UERRows[2], now: now}
+	}
+	panic("no bank with three UERs")
+})
+
+// BenchmarkBlockWindow measures the serving path of one UER: a 16-block
+// window scored through PredictBlocksState (block vectors into pooled
+// scratch, rows scored serially through the packed tree arena). It reports
+// ns/window; allocs/op is allocations per window.
+func BenchmarkBlockWindow(b *testing.B) {
+	w := blockWindowBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.pipe.PredictBlocksState(w.state, w.anchor, w.now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
 }
 
 // BenchmarkStability aggregates the headline comparison over three seeds.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"cordial/internal/ecc"
@@ -281,12 +282,14 @@ func (p *Pipeline) PredictBlocks(events []mcelog.Event, anchorRow int, now time.
 
 // PredictBlocksState returns the per-block UER probability for the window
 // anchored at anchorRow, computed from an incrementally maintained feature
-// state at decision time now.
+// state at decision time now. This is the stream engine's per-UER hot path:
+// it scores the window serially, one block row at a time, through the block
+// model's PredictProbaInto, building each block vector into pooled scratch,
+// so the only allocation is the returned slice.
 func (p *Pipeline) PredictBlocksState(st *features.BankState, anchorRow int, now time.Time) ([]float64, error) {
 	if p.blockModel == nil {
 		return nil, fmt.Errorf("core: pipeline not fitted")
 	}
-	probs := make([]float64, p.cfg.Block.NumBlocks())
 	classes := p.blockModel.Classes()
 	posIdx := -1
 	for i, c := range classes {
@@ -297,23 +300,34 @@ func (p *Pipeline) PredictBlocksState(st *features.BankState, anchorRow int, now
 	if posIdx < 0 {
 		return nil, fmt.Errorf("core: block model has no positive class")
 	}
-	// Build every block's feature vector, then score the whole window in
-	// one batch call: the per-event hot path of the stream engine benefits
-	// from the flat-tree batch driver instead of 16 scattered single-row
-	// predictions.
-	vecs := make([][]float64, len(probs))
-	for b := range vecs {
-		vec, err := st.BlockVector(anchorRow, b, now)
+	sc := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(sc)
+	if cap(sc.proba) < len(classes) {
+		sc.proba = make([]float64, len(classes))
+	}
+	proba := sc.proba[:len(classes)]
+	probs := make([]float64, p.cfg.Block.NumBlocks())
+	for b := range probs {
+		vec, err := st.AppendBlockVector(sc.vec[:0], anchorRow, b, now)
+		sc.vec = vec
 		if err != nil {
 			return nil, err
 		}
-		vecs[b] = vec
-	}
-	for b, pr := range p.blockModel.PredictBatch(vecs) {
-		probs[b] = pr[posIdx]
+		p.blockModel.PredictProbaInto(proba, vec)
+		probs[b] = proba[posIdx]
 	}
 	return probs, nil
 }
+
+// blockScratch is one window's working memory: a block feature vector and
+// a class-probability row. It is pooled rather than held per session, so
+// its footprint tracks the windows being scored at once, not the number of
+// live aggregation sessions.
+type blockScratch struct {
+	vec, proba []float64
+}
+
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // PredictRows converts block probabilities into the concrete rows Cordial
 // would isolate: every row of every block whose probability clears the

@@ -320,3 +320,71 @@ func (s *oldSliceSession) OnEvent(e mcelog.Event) Decision {
 		Blocks:      &BlockPrediction{AnchorRow: anchor, Predicted: mask, Probs: probs},
 	}
 }
+
+// TestPredictBlocksStateMatchesBatchReference pins the serial serving path
+// against the batch path it replaced: for every backend, PredictBlocksState
+// must equal BlockVector for each block scored through PredictBatch, bit for
+// bit, and allocate only its returned slice (checked without -race).
+func TestPredictBlocksStateMatchesBatchReference(t *testing.T) {
+	fleet := testFleet(t, 2, 150)
+	train, test, err := SplitBanks(fleet.Faults, xrand.New(3), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range AllModelKinds {
+		p := fitPipeline(t, kind, train)
+		posIdx := -1
+		for i, c := range p.blockModel.Classes() {
+			if c == 1 {
+				posIdx = i
+			}
+		}
+		checked := 0
+		for _, bf := range test {
+			if len(bf.UERRows) < 3 {
+				continue
+			}
+			anchor, now := bf.UERRows[2], bf.UERTimes[2]
+			st, err := p.NewBankState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range visibleEvents(bf.Events, now) {
+				st.Observe(e)
+			}
+			vecs := make([][]float64, p.cfg.Block.NumBlocks())
+			for b := range vecs {
+				if vecs[b], err = st.BlockVector(anchor, b, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := make([]float64, len(vecs))
+			for b, pr := range p.blockModel.PredictBatch(vecs) {
+				want[b] = pr[posIdx]
+			}
+			got, err := p.PredictBlocksState(st, anchor, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("%v: serial window diverged from the batch reference:\nserial %v\nbatch  %v", kind, got, want)
+			}
+			if !raceEnabled {
+				allocs := testing.AllocsPerRun(50, func() {
+					if _, err := p.PredictBlocksState(st, anchor, now); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 1 {
+					t.Fatalf("%v: PredictBlocksState allocates %v per window, want ≤ 1", kind, allocs)
+				}
+			}
+			if checked++; checked >= 10 {
+				break
+			}
+		}
+		if checked == 0 {
+			t.Fatal("no test banks with enough UERs")
+		}
+	}
+}

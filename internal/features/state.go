@@ -279,10 +279,19 @@ func (s *BankState) PatternVector() ([]float64, error) {
 // bit-identical to BlockVector over the events observed so far. anchorRow
 // is the last observed UER row; now is the decision time.
 func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64, error) {
+	return s.AppendBlockVector(make([]float64, 0, blockFeatureCount), anchorRow, block, now)
+}
+
+// AppendBlockVector appends BlockVector's values to dst and returns the
+// extended slice; with room for BlockFeatureNames() values in dst it
+// allocates nothing, which is how the serving path scores a window from
+// reused scratch. On error dst is returned unchanged.
+func (s *BankState) AppendBlockVector(dst []float64, anchorRow, block int, now time.Time) ([]float64, error) {
 	if block < 0 || block >= s.spec.NumBlocks() {
-		return nil, fmt.Errorf("features: block %d out of [0,%d)", block, s.spec.NumBlocks())
+		return dst, fmt.Errorf("features: block %d out of [0,%d)", block, s.spec.NumBlocks())
 	}
-	out := make([]float64, 0, blockFeatureCount)
+	base := len(dst)
+	out := dst
 	for _, st := range []seqStats{s.blkCE.stats(), s.blkUEO.stats(), s.blkUER.stats()} {
 		out = append(out,
 			float64(st.count),
@@ -329,8 +338,8 @@ func (s *BankState) BlockVector(anchorRow, block int, now time.Time) ([]float64,
 		out = append(out, math.Abs(float64(centre)-ceMean))
 	}
 
-	if len(out) != blockFeatureCount {
-		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out), blockFeatureCount))
+	if len(out)-base != blockFeatureCount {
+		panic(fmt.Sprintf("features: block vector has %d values, want %d", len(out)-base, blockFeatureCount))
 	}
 	return out, nil
 }

@@ -287,3 +287,47 @@ func TestNewBankStateDefaultsBudget(t *testing.T) {
 func hbmAddr(row int) hbm.Address {
 	return hbm.Address{Row: row}
 }
+
+// TestAppendBlockVector pins the serving form of BlockVector: appended
+// after existing values it adds exactly BlockVector's values, allocates
+// nothing with room in dst, and leaves dst unchanged on a bad block.
+func TestAppendBlockVector(t *testing.T) {
+	st, err := NewBankState(DefaultPatternConfig(), DefaultBlockSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range []int{300, 304, 299, 310, 302} {
+		class := ecc.ClassCE
+		if i%2 == 1 {
+			class = ecc.ClassUER
+		}
+		st.Observe(mcelog.Event{Time: t0.Add(time.Duration(i) * time.Hour), Addr: hbmAddr(row), Class: class})
+	}
+	now := t0.Add(6 * time.Hour)
+	n := len(BlockFeatureNames())
+	dst := make([]float64, 1, 1+n)
+	dst[0] = -7
+	for b := 0; b < DefaultBlockSpec().NumBlocks(); b++ {
+		want, err := st.BlockVector(304, b, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.AppendBlockVector(dst[:1], 304, b, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != -7 || !vecBitsEqual(got[1:], want) {
+			t.Fatalf("block %d: appended %v, want [-7] + %v", b, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := st.AppendBlockVector(dst[:1], 304, 3, now); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendBlockVector allocates %v with room in dst", allocs)
+	}
+	if got, err := st.AppendBlockVector(dst[:1], 304, -1, now); err == nil || len(got) != 1 {
+		t.Fatalf("bad block: got %v, err %v", got, err)
+	}
+}

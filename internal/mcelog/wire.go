@@ -70,8 +70,9 @@ func AppendWireRecord(dst []byte, ev Event) []byte {
 
 // DecodeWireRecord unpacks one fixed-size record and checks nothing:
 // FrameDecoder.Next rejects out-of-layout addresses in the frames it
-// returns, and callers validate events against their geometry, which
-// subsumes the class check.
+// returns, the WAL replay checks each journal record with CheckWireRecord,
+// and callers validate events against their geometry, which subsumes the
+// class check.
 func DecodeWireRecord(rec []byte) Event {
 	_ = rec[WireRecordSize-1]
 	return Event{
@@ -167,13 +168,30 @@ func (d *FrameDecoder) Next() (WireFrame, error) {
 		return WireFrame{}, fmt.Errorf("%w: payload checksum mismatch: computed %#x, stored %#x", ErrWireFrame, sum, crc)
 	}
 	mask := hbm.ActiveProfile().Layout.Mask()
-	for off := 8; off < len(d.buf); off += WireRecordSize {
-		if v := binary.LittleEndian.Uint64(d.buf[off:]); v&^mask != 0 {
-			_, err := hbm.UnpackChecked(v)
+	for off := 0; off < len(d.buf); off += WireRecordSize {
+		if err := checkWireAddr(d.buf[off:], mask); err != nil {
 			return WireFrame{}, fmt.Errorf("%w: record %d: %w", ErrWireFrame, off/WireRecordSize, err)
 		}
 	}
 	return WireFrame{payload: d.buf}, nil
+}
+
+// CheckWireRecord applies FrameDecoder.Next's layout test to one record:
+// it reports an error when the packed address has bits outside the active
+// layout (DecodeWireRecord would alias it onto a valid-looking address),
+// and allocates nothing when the record passes.
+func CheckWireRecord(rec []byte) error {
+	return checkWireAddr(rec, hbm.ActiveProfile().Layout.Mask())
+}
+
+// checkWireAddr tests the packed address of the record starting at rec
+// against a layout mask.
+func checkWireAddr(rec []byte, mask uint64) error {
+	if v := binary.LittleEndian.Uint64(rec[8:16]); v&^mask != 0 {
+		_, err := hbm.UnpackChecked(v)
+		return err
+	}
+	return nil
 }
 
 // FrameEncoder writes a "CBF2" stream. Events accumulate into a pending

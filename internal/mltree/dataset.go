@@ -155,9 +155,22 @@ type Classifier interface {
 	// PredictProba returns one probability per class, aligned with
 	// Classes(), summing to 1.
 	PredictProba(x []float64) []float64
+	// PredictProbaInto is the serving form of PredictProba: it writes the
+	// same probabilities into dst, which must have len(Classes()), runs
+	// serially on the caller's goroutine and allocates nothing.
+	PredictProbaInto(dst, x []float64)
 	// PredictBatch predicts every row of X, parallelised across rows;
-	// each row's result is identical to PredictProba on that row.
+	// each row's result is identical to PredictProba on that row. It is
+	// for fitting and offline batches; serving scores rows one at a time
+	// through PredictProbaInto.
 	PredictBatch(X [][]float64) [][]float64
+}
+
+// checkDst panics unless dst has one slot per class.
+func checkDst(dst []float64, classes []int) {
+	if len(dst) != len(classes) {
+		panic(fmt.Sprintf("mltree: PredictProbaInto dst has %d slots for %d classes", len(dst), len(classes)))
+	}
 }
 
 // Predict returns the label with the highest predicted probability, breaking

@@ -75,8 +75,10 @@ func typeName(c Classifier) string {
 	return "Classifier"
 }
 
-// TestFlatTreeMatchesPointerNavigation asserts flat-tree descent reproduces
-// pointer navigation exactly, for single trees and boosting chains.
+// TestFlatTreeMatchesPointerNavigation asserts arena descent reproduces
+// pointer navigation exactly: the leaf a row lands on carries the pointer
+// leaf's class-aligned probabilities (single trees and every forest member)
+// and each boosting arm's margin equals the pointer walk's sum.
 func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	train, test := noisyBlobs(32, 3, 120)
 
@@ -84,15 +86,35 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	if err := tr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if tr.flat == nil {
-		t.Fatal("fit did not compile a flat tree")
+	f := NewForest(ForestConfig{NumTrees: 12, Seed: 3})
+	if err := f.Fit(train); err != nil {
+		t.Fatal(err)
 	}
-	for _, x := range test.Features {
-		want := tr.root.navigate(x).Probs
-		got := tr.flat.leafProbs(x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("flat leaf probs differ: %v vs %v", got, want)
+	for _, m := range []struct {
+		name    string
+		classes []int
+		members []*Tree
+		a       *arena
+	}{
+		{"tree", tr.classes, []*Tree{tr}, tr.arena},
+		{"forest", f.classes, f.trees, f.arena},
+	} {
+		if m.a == nil || len(m.a.roots) != len(m.members) {
+			t.Fatalf("%s: fit did not compile one arena root per tree", m.name)
+		}
+		idx := classIndex(m.classes)
+		for ti, member := range m.members {
+			for _, x := range test.Features {
+				want := make([]float64, len(m.classes))
+				for i, p := range member.root.navigate(x).Probs {
+					want[idx[member.classes[i]]] = p
+				}
+				got := m.a.leaves[m.a.leaf(m.a.roots[ti], x):][:len(m.classes)]
+				for c := range want {
+					if got[c] != want[c] {
+						t.Fatalf("%s member %d: arena leaf %v differs from pointer leaf %v", m.name, ti, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -101,25 +123,25 @@ func TestFlatTreeMatchesPointerNavigation(t *testing.T) {
 	if err := g.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range g.boosters {
-		if b.flat == nil {
-			t.Fatal("fit did not compile the booster chain")
-		}
+	if g.chains == nil || len(g.chains.arms) != len(g.boosters) {
+		t.Fatal("fit did not compile every booster chain")
+	}
+	for a, b := range g.boosters {
 		for _, x := range test.Features {
 			want := b.Bias
 			for _, tn := range b.Trees {
 				want += b.LR * tn.navigate(x).Value
 			}
-			if got := b.flat.margin(b.Bias, b.LR, x); got != want {
-				t.Fatalf("flat margin %v differs from pointer walk %v", got, want)
+			if got := g.chains.margin(a, x); got != want {
+				t.Fatalf("arena margin %v differs from pointer walk %v", got, want)
 			}
 		}
 	}
 }
 
 // TestSerializeRoundTripCompilesFlat asserts a loaded model predicts through
-// recompiled flat trees and matches the original exactly, per-row and
-// batched.
+// a recompiled arena — one per model, none per forest member — and matches
+// the original exactly, per-row and batched.
 func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 	train, test := noisyBlobs(33, 3, 120)
 	for _, m := range fitAll(t, train, 0) {
@@ -133,26 +155,25 @@ func TestSerializeRoundTripCompilesFlat(t *testing.T) {
 		}
 		switch lm := loaded.(type) {
 		case *Tree:
-			if lm.flat == nil {
-				t.Fatal("loaded tree has no flat form")
+			if lm.arena == nil {
+				t.Fatal("loaded tree has no arena")
 			}
 		case *Forest:
+			if lm.arena == nil || len(lm.arena.roots) != len(lm.trees) {
+				t.Fatal("loaded forest has no arena over its members")
+			}
 			for _, tr := range lm.trees {
-				if tr.flat == nil {
-					t.Fatal("loaded forest member has no flat form")
+				if tr.arena != nil {
+					t.Fatal("loaded forest member carries a compiled form of its own")
 				}
 			}
 		case *GBDT:
-			for _, b := range lm.boosters {
-				if b.flat == nil {
-					t.Fatal("loaded gbdt booster has no flat form")
-				}
+			if lm.chains == nil || len(lm.chains.arms) != len(lm.boosters) {
+				t.Fatal("loaded gbdt has no arena over its arms")
 			}
 		case *HistGBDT:
-			for _, b := range lm.boosters {
-				if b.flat == nil {
-					t.Fatal("loaded histgbdt booster has no flat form")
-				}
+			if lm.chains == nil || len(lm.chains.arms) != len(lm.boosters) {
+				t.Fatal("loaded histgbdt has no arena over its arms")
 			}
 		}
 		assertSameProbs(t, typeName(m), m, loaded, test.Features)

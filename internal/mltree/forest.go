@@ -44,8 +44,9 @@ func (c ForestConfig) withDefaults() ForestConfig {
 // per-split feature subsampling, predictions averaged over members.
 type Forest struct {
 	Config  ForestConfig
-	trees   []*Tree
+	trees   []*Tree // pointer form, for Save and importance
 	classes []int
+	arena   *arena // every member compiled for serving
 	// oobScore is the out-of-bag accuracy estimated during Fit, or -1.
 	oobScore float64
 }
@@ -133,16 +134,23 @@ func (f *Forest) Fit(ds *Dataset) error {
 		members[t] = member{tree: tree, inBag: inBag}
 	})
 
-	f.trees = make([]*Tree, 0, f.Config.NumTrees)
-	for t := range members {
-		m := members[t]
-		f.trees = append(f.trees, m.tree)
+	f.trees = make([]*Tree, len(members))
+	for t, m := range members {
+		f.trees[t] = m.tree
+	}
+	if err := f.compile(); err != nil {
+		return err
+	}
+	// Out-of-bag votes read each member's class-aligned leaves from the
+	// serving arena, in member order.
+	a := f.arena
+	for t, root := range a.roots {
 		for i := 0; i < n; i++ {
-			if m.inBag[i] {
+			if members[t].inBag[i] {
 				continue
 			}
 			oobSeen[i] = true
-			probs := m.tree.predictProbaAligned(ds.Features[i], f.classes)
+			probs := a.leaves[a.leaf(root, ds.Features[i]):][:len(f.classes)]
 			for c, p := range probs {
 				votes[i][c] += p
 			}
@@ -174,47 +182,30 @@ func (f *Forest) Fit(ds *Dataset) error {
 	return nil
 }
 
-// predictProbaAligned re-aligns a member tree's class probabilities onto the
-// forest's class list (a bootstrap bag can miss rare classes entirely).
-func (t *Tree) predictProbaAligned(x []float64, classes []int) []float64 {
-	raw := t.PredictProba(x)
-	if len(t.classes) == len(classes) {
-		same := true
-		for i := range classes {
-			if t.classes[i] != classes[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return raw
-		}
+// compile builds the serving arena over every member, each member's
+// classes aligned onto the forest's.
+func (f *Forest) compile() (err error) {
+	roots := make([]*treeNode, len(f.trees))
+	memberClasses := make([][]int, len(f.trees))
+	for i, t := range f.trees {
+		roots[i], memberClasses[i] = t.root, t.classes
 	}
-	out := make([]float64, len(classes))
-	idx := classIndex(classes)
-	for i, c := range t.classes {
-		out[idx[c]] = raw[i]
-	}
-	return out
+	f.arena, err = compileVotes(f.classes, roots, memberClasses)
+	return err
 }
 
 // PredictProba averages the member trees' leaf distributions.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(f.classes))
-	if len(f.trees) == 0 {
-		return out
-	}
-	for _, tree := range f.trees {
-		probs := tree.predictProbaAligned(x, f.classes)
-		for c, p := range probs {
-			out[c] += p
-		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for c := range out {
-		out[c] *= inv
-	}
+	f.PredictProbaInto(out, x)
 	return out
+}
+
+// PredictProbaInto writes the members' mean leaf distribution into dst,
+// which must have len(Classes()).
+func (f *Forest) PredictProbaInto(dst, x []float64) {
+	checkDst(dst, f.classes)
+	f.arena.meanProbaInto(dst, x)
 }
 
 // PredictBatch predicts every row of X, in parallel across rows; each row's

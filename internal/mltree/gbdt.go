@@ -91,27 +91,15 @@ type booster struct {
 	Bias  float64     `json:"bias"`
 	Trees []*treeNode `json:"trees"`
 	LR    float64     `json:"lr"`
-
-	// flat is the chain compiled for inference; rebuilt by compile()
-	// after fitting or deserialising.
-	flat *flatEnsemble
 }
 
-// compile flattens the fitted chain for cache-friendly inference.
-func (b *booster) compile() { b.flat = compileEnsemble(b.Trees) }
-
-// raw returns the margin (log-odds) for x. The flat path accumulates
-// lr × leaf-value in tree order, the exact floating-point sequence of the
-// pointer walk.
-func (b *booster) raw(x []float64) float64 {
-	if b.flat != nil {
-		return b.flat.margin(b.Bias, b.LR, x)
+// numArms is the one-vs-rest chain count for k classes: one chain for a
+// binary problem (the positive, larger class), one per class otherwise.
+func numArms(k int) int {
+	if k == 2 {
+		return 1
 	}
-	s := b.Bias
-	for _, t := range b.Trees {
-		s += b.LR * t.navigate(x).Value
-	}
-	return s
+	return k
 }
 
 func sigmoid(z float64) float64 {
@@ -125,7 +113,8 @@ func sigmoid(z float64) float64 {
 type GBDT struct {
 	Config   GBDTConfig
 	classes  []int
-	boosters []*booster
+	boosters []*booster // pointer form, for Save and importance
+	chains   *chains    // every arm compiled for serving
 }
 
 // NewGBDT returns an unfitted GBDT.
@@ -150,10 +139,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	}
 	rng := xrand.New(g.Config.Seed)
 
-	arms := len(g.classes)
-	if arms == 2 {
-		arms = 1 // binary: a single chain for the positive (larger) class
-	}
+	arms := numArms(len(g.classes))
 	// Derive every arm's RNG up front, in arm order, so concurrent arm
 	// fitting consumes the exact streams the serial loop did.
 	rngs := make([]*xrand.RNG, arms)
@@ -178,7 +164,6 @@ func (g *GBDT) Fit(ds *Dataset) error {
 			errs[a] = fmt.Errorf("mltree: GBDT arm %d: %w", a, err)
 			return
 		}
-		b.compile()
 		g.boosters[a] = b
 	})
 	for _, err := range errs {
@@ -186,7 +171,9 @@ func (g *GBDT) Fit(ds *Dataset) error {
 			return err
 		}
 	}
-	return nil
+	var err error
+	g.chains, err = compileChains(g.boosters)
+	return err
 }
 
 func (g *GBDT) fitBinary(ds *Dataset, y []float64, rng *xrand.RNG) (*booster, error) {
@@ -341,31 +328,15 @@ func (g *GBDT) subsample(trainIdx []int, rng *xrand.RNG) []int {
 // problems, or normalised one-vs-rest sigmoids for multi-class.
 func (g *GBDT) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(g.classes))
-	if len(g.boosters) == 0 {
-		return out
-	}
-	if len(g.classes) == 2 {
-		p := sigmoid(g.boosters[0].raw(x))
-		out[0] = 1 - p
-		out[1] = p
-		return out
-	}
-	total := 0.0
-	for a, b := range g.boosters {
-		p := sigmoid(b.raw(x))
-		out[a] = p
-		total += p
-	}
-	if total > 0 {
-		for a := range out {
-			out[a] /= total
-		}
-	} else {
-		for a := range out {
-			out[a] = 1 / float64(len(out))
-		}
-	}
+	g.PredictProbaInto(out, x)
 	return out
+}
+
+// PredictProbaInto writes PredictProba's probabilities into dst, which
+// must have len(Classes()).
+func (g *GBDT) PredictProbaInto(dst, x []float64) {
+	checkDst(dst, g.classes)
+	g.chains.probaInto(dst, x)
 }
 
 // PredictBatch predicts every row of X, in parallel across rows; each row's

@@ -160,7 +160,8 @@ func (b *binner) threshold(f, bin int) float64 { return b.Upper[f][bin] }
 type HistGBDT struct {
 	Config   HistGBDTConfig
 	classes  []int
-	boosters []*booster
+	boosters []*booster // pointer form, for Save and importance
+	chains   *chains    // every arm compiled for serving
 }
 
 // NewHistGBDT returns an unfitted histogram booster.
@@ -206,10 +207,7 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 		binned[i] = br
 	})
 
-	arms := len(h.classes)
-	if arms == 2 {
-		arms = 1
-	}
+	arms := numArms(len(h.classes))
 	// Derive every arm's RNG up front, in arm order, so concurrent arm
 	// fitting consumes the exact streams the serial loop did.
 	rngs := make([]*xrand.RNG, arms)
@@ -234,7 +232,6 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 			errs[a] = fmt.Errorf("mltree: HistGBDT arm %d: %w", a, err)
 			return
 		}
-		b.compile()
 		h.boosters[a] = b
 	})
 	for _, err := range errs {
@@ -242,7 +239,9 @@ func (h *HistGBDT) Fit(ds *Dataset) error {
 			return err
 		}
 	}
-	return nil
+	var err error
+	h.chains, err = compileChains(h.boosters)
+	return err
 }
 
 func (h *HistGBDT) fitBinary(ds *Dataset, binned [][]uint16, bins *binner, y []float64, rng *xrand.RNG) (*booster, error) {
@@ -609,31 +608,15 @@ func (g *histGrower) split(l *leafState) (left, right *leafState) {
 // PredictProba returns class probabilities (see GBDT.PredictProba).
 func (h *HistGBDT) PredictProba(x []float64) []float64 {
 	out := make([]float64, len(h.classes))
-	if len(h.boosters) == 0 {
-		return out
-	}
-	if len(h.classes) == 2 {
-		p := sigmoid(h.boosters[0].raw(x))
-		out[0] = 1 - p
-		out[1] = p
-		return out
-	}
-	total := 0.0
-	for a, b := range h.boosters {
-		p := sigmoid(b.raw(x))
-		out[a] = p
-		total += p
-	}
-	if total > 0 {
-		for a := range out {
-			out[a] /= total
-		}
-	} else {
-		for a := range out {
-			out[a] = 1 / float64(len(out))
-		}
-	}
+	h.PredictProbaInto(out, x)
 	return out
+}
+
+// PredictProbaInto writes PredictProba's probabilities into dst, which
+// must have len(Classes()).
+func (h *HistGBDT) PredictProbaInto(dst, x []float64) {
+	checkDst(dst, h.classes)
+	h.chains.probaInto(dst, x)
 }
 
 // PredictBatch predicts every row of X, in parallel across rows; each row's

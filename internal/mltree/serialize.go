@@ -120,7 +120,11 @@ func (d *Decoder) Decode() (Classifier, error) {
 		if p.Root == nil {
 			return nil, fmt.Errorf("mltree: tree payload has no root")
 		}
-		return &Tree{Config: p.Config, root: p.Root, flat: compileTree(p.Root), classes: env.Classes}, nil
+		t := &Tree{Config: p.Config, root: p.Root, classes: env.Classes}
+		if err := t.compile(); err != nil {
+			return nil, fmt.Errorf("mltree: compiling tree: %w", err)
+		}
+		return t, nil
 	case kindForest:
 		var p forestPayload
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
@@ -134,7 +138,10 @@ func (d *Decoder) Decode() (Classifier, error) {
 			if tp.Root == nil {
 				return nil, fmt.Errorf("mltree: forest member %d has no root", i)
 			}
-			f.trees = append(f.trees, &Tree{Config: tp.Config, root: tp.Root, flat: compileTree(tp.Root), classes: p.TreeClasses[i]})
+			f.trees = append(f.trees, &Tree{Config: tp.Config, root: tp.Root, classes: p.TreeClasses[i]})
+		}
+		if err := f.compile(); err != nil {
+			return nil, fmt.Errorf("mltree: compiling forest: %w", err)
 		}
 		return f, nil
 	case kindGBDT:
@@ -142,20 +149,36 @@ func (d *Decoder) Decode() (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
 			return nil, fmt.Errorf("mltree: decoding gbdt: %w", err)
 		}
-		for _, b := range p.Boosters {
-			b.compile()
+		ch, err := loadChains(p.Boosters, env.Classes)
+		if err != nil {
+			return nil, fmt.Errorf("mltree: compiling gbdt: %w", err)
 		}
-		return &GBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters}, nil
+		return &GBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters, chains: ch}, nil
 	case kindHistGBDT:
 		var p histPayload
 		if err := json.Unmarshal(env.Payload, &p); err != nil {
 			return nil, fmt.Errorf("mltree: decoding histgbdt: %w", err)
 		}
-		for _, b := range p.Boosters {
-			b.compile()
+		ch, err := loadChains(p.Boosters, env.Classes)
+		if err != nil {
+			return nil, fmt.Errorf("mltree: compiling histgbdt: %w", err)
 		}
-		return &HistGBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters}, nil
+		return &HistGBDT{Config: p.Config, classes: env.Classes, boosters: p.Boosters, chains: ch}, nil
 	default:
 		return nil, fmt.Errorf("mltree: unknown model kind %q", env.Kind)
 	}
+}
+
+// loadChains compiles decoded boosting chains, refusing an arm count that
+// does not match the class list (an unfitted model has no arms at all).
+func loadChains(boosters []*booster, classes []int) (*chains, error) {
+	if len(boosters) > 0 && len(boosters) != numArms(len(classes)) {
+		return nil, fmt.Errorf("%d boosting arms for %d classes", len(boosters), len(classes))
+	}
+	for i, b := range boosters {
+		if b == nil {
+			return nil, fmt.Errorf("boosting arm %d is null", i)
+		}
+	}
+	return compileChains(boosters)
 }

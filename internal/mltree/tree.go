@@ -149,7 +149,7 @@ func (n *treeNode) countLeaves() int {
 type Tree struct {
 	Config  TreeConfig
 	root    *treeNode
-	flat    *flatTree
+	arena   *arena // serving form; nil for forest members
 	classes []int
 	rng     *xrand.RNG
 }
@@ -177,7 +177,13 @@ func (t *Tree) Fit(ds *Dataset) error {
 		return err
 	}
 	t.fitValidated(ds)
-	return nil
+	return t.compile()
+}
+
+// compile builds the standalone tree's serving arena.
+func (t *Tree) compile() (err error) {
+	t.arena, err = compileVotes(t.classes, []*treeNode{t.root}, [][]int{t.classes})
+	return err
 }
 
 // fitValidated grows the tree assuming ds has already been validated.
@@ -212,7 +218,6 @@ func (t *Tree) fitFromSorted(cols [][]float64, y []int, classes []int, sorted []
 		maxFeat: t.Config.resolveMaxFeatures(len(cols)),
 	}
 	t.root = b.build(sorted, 0)
-	t.flat = compileTree(t.root)
 }
 
 // deriveSorted filters a base presort down to a bootstrap bag: each base
@@ -236,15 +241,16 @@ func deriveSorted(base [][]int32, mult []int, bag int) [][]int32 {
 
 // PredictProba returns the class distribution of the leaf x lands in.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	var probs []float64
-	if t.flat != nil {
-		probs = t.flat.leafProbs(x)
-	} else {
-		probs = t.root.navigate(x).Probs
-	}
-	out := make([]float64, len(probs))
-	copy(out, probs)
+	out := make([]float64, len(t.classes))
+	t.PredictProbaInto(out, x)
 	return out
+}
+
+// PredictProbaInto writes the class distribution of the leaf x lands in
+// into dst, which must have len(Classes()).
+func (t *Tree) PredictProbaInto(dst, x []float64) {
+	checkDst(dst, t.classes)
+	t.arena.meanProbaInto(dst, x)
 }
 
 // PredictBatch predicts every row of X, in parallel across rows.

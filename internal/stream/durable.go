@@ -104,10 +104,15 @@ func encodeEventRecord(ev mcelog.Event) []byte {
 	return mcelog.AppendWireRecord(nil, ev)
 }
 
-// decodeEventRecord unpacks a journal payload.
+// decodeEventRecord unpacks a journal payload. A record whose packed
+// address has bits outside the active layout is refused, as the wire
+// decoder refuses it: the CRC only proves the bytes are the ones written.
 func decodeEventRecord(p []byte) (mcelog.Event, error) {
 	if len(p) != eventRecordSize {
 		return mcelog.Event{}, fmt.Errorf("stream: event record of %d bytes, want %d", len(p), eventRecordSize)
+	}
+	if err := mcelog.CheckWireRecord(p); err != nil {
+		return mcelog.Event{}, fmt.Errorf("stream: event record: %w", err)
 	}
 	return mcelog.DecodeWireRecord(p), nil
 }

@@ -16,10 +16,11 @@
 // shard queues are FIFO.
 //
 // Per-event inference cost: a UER on an aggregation bank triggers one
-// window prediction, which the pipeline issues as a single PredictBatch
-// over all 16 block vectors — served by mltree's flattened
-// struct-of-arrays trees rather than per-block pointer chasing — so the
-// shard consumer's critical path stays short under burst load.
+// window prediction, which the pipeline scores serially on the shard
+// consumer — 16 block vectors built into pooled scratch, each row run
+// through the block model's packed tree arena — allocating only the
+// returned probabilities, so the critical path stays short under burst
+// load.
 package stream
 
 import (

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -549,6 +550,83 @@ func TestRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainActions(e2)
+}
+
+// bankRecorder is a durable fake strategy that records every bank it
+// opens a session for.
+type bankRecorder struct {
+	*fakeStrategy
+	mu    sync.Mutex
+	banks map[hbm.BankAddress]bool
+}
+
+func (r *bankRecorder) NewSession(bank hbm.BankAddress) core.Session {
+	r.mu.Lock()
+	r.banks[bank] = true
+	r.mu.Unlock()
+	return r.fakeStrategy.NewSession(bank)
+}
+
+// TestRecoveryRefusesStrayAddressBits: a journal record whose CRC verifies
+// but whose packed address has bits outside the active layout must fail the
+// reopen loudly. Unpack would alias it onto a valid bank; that bank must
+// never be served.
+func TestRecoveryRefusesStrayAddressBits(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(durCfg(dir, 2, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := testBank(1)
+	for i, row := range []int{1, 2, 3} {
+		if err := e.Ingest(uerAt(good, row, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drainActions(e)
+
+	// Journal one more record for another bank, its address carrying the
+	// lowest bit the layout does not use.
+	aliased := testBank(2)
+	rec := encodeEventRecord(uerAt(aliased, 4, 4))
+	if err := mcelog.CheckWireRecord(rec); err != nil {
+		t.Fatalf("clean record refused: %v", err)
+	}
+	unused := ^hbm.ActiveProfile().Layout.Mask()
+	addr := binary.LittleEndian.Uint64(rec[8:16]) | unused&-unused
+	binary.LittleEndian.PutUint64(rec[8:16], addr)
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec2 := &bankRecorder{fakeStrategy: &fakeStrategy{budget: 3}, banks: make(map[hbm.BankAddress]bool)}
+	e2, err := New(durCfg(dir, 2, rec2))
+	if err == nil {
+		e2.Close()
+		t.Fatal("reopen over a stray-bit journal record succeeded")
+	}
+	if !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("reopen error does not name the stray bits: %v", err)
+	}
+	if !rec2.banks[good] {
+		t.Fatal("replay never reached the clean records before the stray one")
+	}
+	if rec2.banks[aliased] {
+		t.Fatal("the stray-bit record was served under its aliased bank")
+	}
 }
 
 // TestRecoveryFsyncFailureSurfaces: under SyncAlways a failed fsync must

@@ -97,6 +97,13 @@ echo "==> binary ingest perf gate (steady-state decode allocates nothing)"
 # fails CI with a direct message rather than a drifting BENCH number.
 go test -run 'TestWireDecodeZeroAllocs' -count 1 ./internal/mcelog/
 
+echo "==> block serving perf gate (PredictProbaInto and PredictBlocksState allocation-free)"
+# Every model's serving entry point allocates nothing and a whole 16-block
+# window allocates only its returned slice, both bit-identical to the
+# pointer-walk and batch references — pinned by name like the decode gate.
+go test -run 'TestPredictProbaIntoMatchesAllModels' -count 1 ./internal/mltree/
+go test -run 'TestPredictBlocksStateMatchesBatchReference' -count 1 ./internal/core/
+
 echo "==> topology matrix (profile registry, wire round-trips, cross-profile gates)"
 # Every registered profile must validate and round-trip packed addresses
 # through the wire codec allocation-free (TestWireProfileMatrix iterates
