@@ -351,8 +351,10 @@ func TestTakeoverDeadNode(t *testing.T) {
 	cp, cpSrv := startCP(t, CPConfig{HeartbeatTTL: time.Hour, Clock: clock.Now})
 	n1 := startNode(t, cpSrv.URL, "n1")
 	n2 := startNode(t, cpSrv.URL, "n2")
+	// Agents adopt an epoch before the control plane publishes it, and the
+	// ring below is built from the published descriptor: wait for both.
 	waitFor(t, "two nodes", func() bool {
-		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2
+		return n1.agent.Epoch() >= 2 && n2.agent.Epoch() >= 2 && cp.Descriptor().Epoch >= 2
 	})
 
 	// Ingest each bank directly at its owner.

@@ -24,11 +24,6 @@ const (
 	bankStateVersionV1 = 1
 )
 
-// maxCodecEntries bounds decoded collection lengths. The per-row sets are
-// bounded by a bank's distinct rows (tens of thousands), so anything near
-// this limit in a snapshot is corruption, not data.
-const maxCodecEntries = 1 << 24
-
 // enc is a little-endian append-only encoder.
 type enc struct{ b []byte }
 
@@ -126,10 +121,17 @@ func (d *dec) time() time.Time {
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
 }
+
+// count decodes a collection length, bounded by the bytes left: every
+// element encodes in at least 8 bytes, so a corrupt length fails here
+// instead of sizing an allocation beyond the input.
 func (d *dec) count() int {
 	n := d.i64()
-	if n < 0 || n > maxCodecEntries {
-		d.fail("implausible collection length %d", n)
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > int64(len(d.b)-d.off)/8 {
+		d.fail("collection length %d exceeds the %d bytes left", n, len(d.b)-d.off)
 		return 0
 	}
 	return int(n)

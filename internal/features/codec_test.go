@@ -2,6 +2,8 @@ package features
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -165,6 +167,19 @@ func TestBankStateCodecCorruptInput(t *testing.T) {
 	bad[4] = 99
 	if _, err := UnmarshalBankState(bad); err == nil {
 		t.Error("unknown version accepted")
+	}
+	// A huge length written over any 8 bytes must fail without sizing an
+	// allocation by it: lengths are bounded by the bytes left.
+	var before, after runtime.MemStats
+	for off := 5; off+8 <= len(blob); off++ {
+		bad = append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(bad[off:], 1<<24-1)
+		runtime.ReadMemStats(&before)
+		_, _ = UnmarshalBankState(bad)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(blob)+4096) {
+			t.Fatalf("a length of 1<<24 at offset %d made a %d-byte blob allocate %d bytes", off, len(blob), grew)
+		}
 	}
 	// Random bit flips: decode may succeed (flips in float payloads are
 	// legal values) but must never panic; a length-field flip must error.

@@ -183,6 +183,8 @@ const (
 	LevelRow
 	LevelRank
 	LevelDevice
+
+	maxLevel = LevelDevice
 )
 
 // TableLevels are the micro-levels reported in the paper's Tables I and II
@@ -298,8 +300,11 @@ func (a *Address) set(f field, v int) {
 // within the layout's encoding capacities; a field outside its capacity is
 // silently lost, which is why every trust boundary (wire decode, JSONL
 // parse, simulator emit) must use PackChecked or UnpackChecked instead.
-func (a Address) Pack() uint64 {
-	l := &ActiveProfile().Layout
+func (a Address) Pack() uint64 { return pack(&a, &ActiveProfile().Layout) }
+
+// pack is Pack under an explicit layout, taking the address by pointer so
+// the key paths below copy it no further.
+func pack(a *Address, l *Layout) uint64 {
 	return uint64(a.Node)<<l.shift[fieldNode] |
 		uint64(a.NPU)<<l.shift[fieldNPU] |
 		uint64(a.HBM)<<l.shift[fieldHBM] |
@@ -335,11 +340,20 @@ func (a Address) PackChecked() (uint64, error) {
 // active profile.
 func Unpack(v uint64) Address {
 	l := &ActiveProfile().Layout
-	var a Address
-	for f := field(0); f < numFields; f++ {
-		a.set(f, int(v>>l.shift[f]&uint64(l.capacity(f)-1)))
+	return Address{
+		Node:          l.get(v, fieldNode),
+		NPU:           l.get(v, fieldNPU),
+		HBM:           l.get(v, fieldHBM),
+		SID:           l.get(v, fieldSID),
+		Channel:       l.get(v, fieldChannel),
+		PseudoChannel: l.get(v, fieldPseudoChannel),
+		Rank:          l.get(v, fieldRank),
+		Device:        l.get(v, fieldDevice),
+		BankGroup:     l.get(v, fieldBankGroup),
+		Bank:          l.get(v, fieldBank),
+		Row:           l.get(v, fieldRow),
+		Column:        l.get(v, fieldColumn),
 	}
-	return a
 }
 
 // UnpackChecked decodes a packed address, rejecting values with bits set
@@ -483,15 +497,28 @@ func (a Address) Truncate(l Level) Address {
 
 // EntityKey returns a unique packed key for the entity containing the
 // address at the given level. Two addresses share a key at level l exactly
-// when they fall in the same level-l entity.
-func (a Address) EntityKey(l Level) uint64 { return a.Truncate(l).Pack() }
+// when they fall in the same level-l entity. It equals
+// a.Truncate(l).Pack() for any address Pack encodes without loss, computed
+// as the packed address under the layout's per-level mask instead of by
+// copying and zeroing the address — every ingested and replayed event
+// derives its bank key here.
+func (a Address) EntityKey(l Level) uint64 {
+	lay := &ActiveProfile().Layout
+	return pack(&a, lay) & lay.entityMask(l)
+}
 
 // BankKey is shorthand for EntityKey(LevelBank): a unique identifier for the
 // bank containing the address.
-func (a Address) BankKey() uint64 { return a.EntityKey(LevelBank) }
+func (a Address) BankKey() uint64 {
+	lay := &ActiveProfile().Layout
+	return pack(&a, lay) & lay.keyMask[LevelBank]
+}
 
 // RowKey uniquely identifies a row within the fleet.
-func (a Address) RowKey() uint64 { return a.EntityKey(LevelRow) }
+func (a Address) RowKey() uint64 {
+	lay := &ActiveProfile().Layout
+	return pack(&a, lay) & lay.keyMask[LevelRow]
+}
 
 // SameBank reports whether two addresses fall in the same bank.
 func (a Address) SameBank(b Address) bool { return a.BankKey() == b.BankKey() }

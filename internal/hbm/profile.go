@@ -69,6 +69,10 @@ type Layout struct {
 	width [numFields]int   // bits per field, indexed by field
 	shift [numFields]uint  // bit position per field, indexed by field
 	used  uint64           // mask of bits any field occupies
+	// keyMask[l] keeps the bits of the fields at or above level l in the
+	// hierarchy, so a level-l entity key is the packed address under this
+	// mask. Indexed by Level; all ones for values that name no level.
+	keyMask [maxLevel + 1]uint64
 }
 
 // NewLayout builds a layout from a hierarchy order (coarsest first; must
@@ -107,7 +111,31 @@ func NewLayout(order []field, width map[field]int) (Layout, error) {
 			l.used |= ((uint64(1) << w) - 1) << l.shift[f]
 		}
 	}
+	for lv := range l.keyMask {
+		l.keyMask[lv] = ^uint64(0)
+	}
+	for lv, f := range levelField {
+		var m uint64
+		for _, of := range l.order {
+			if w := l.width[of]; w > 0 {
+				m |= ((uint64(1) << w) - 1) << l.shift[of]
+			}
+			if of == f {
+				break
+			}
+		}
+		l.keyMask[lv] = m
+	}
 	return l, nil
+}
+
+// entityMask returns keyMask[lv], or all ones for a value naming no level
+// (Truncate leaves the address whole there).
+func (l *Layout) entityMask(lv Level) uint64 {
+	if lv < 0 || int(lv) >= len(l.keyMask) {
+		return ^uint64(0)
+	}
+	return l.keyMask[lv]
 }
 
 // Bits returns the total number of bits the layout occupies.
@@ -122,6 +150,11 @@ func (l Layout) Bits() int {
 // Mask returns the bits any field occupies: a packed address with a bit
 // outside it is not one Pack could have produced under this layout.
 func (l Layout) Mask() uint64 { return l.used }
+
+// get extracts field f from a packed address.
+func (l *Layout) get(v uint64, f field) int {
+	return int(v >> l.shift[f] & (uint64(1)<<l.width[f] - 1))
+}
 
 // capacity returns the number of distinct values field f can encode.
 func (l Layout) capacity(f field) int { return 1 << l.width[f] }

@@ -171,3 +171,37 @@ func TestGeometryValidateAgainstActiveLayout(t *testing.T) {
 		t.Fatal("Validate accepted ranks over layout capacity")
 	}
 }
+
+// TestEntityKeyMatchesTruncatePack: the masked key must equal the key of
+// the truncated address for every registered profile, at every level
+// (plus values naming no level, which truncate nothing), on addresses
+// spanning the whole geometry.
+func TestEntityKeyMatchesTruncatePack(t *testing.T) {
+	levels := []Level{0, maxLevel + 1, -1}
+	for l := range levelField {
+		levels = append(levels, l)
+	}
+	for _, name := range ProfileNames() {
+		t.Run(name, func(t *testing.T) {
+			p, err := ProfileByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := ActivateProfile(p)
+			defer ActivateProfile(prev)
+			r := xrand.New(7)
+			g := p.Geometry
+			for i := 0; i < 500; i++ {
+				a := CellInBank(RandomBank(g, r), r.Intn(g.RowsPerBank), r.Intn(g.ColsPerBank))
+				for _, l := range levels {
+					if got, want := a.EntityKey(l), a.Truncate(l).Pack(); got != want {
+						t.Fatalf("%+v EntityKey(%v) = %#x, Truncate(%v).Pack() = %#x", a, l, got, l, want)
+					}
+				}
+				if a.BankKey() != a.Truncate(LevelBank).Pack() || a.RowKey() != a.Truncate(LevelRow).Pack() {
+					t.Fatalf("%+v: BankKey/RowKey disagree with Truncate+Pack", a)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"cordial/internal/core"
@@ -251,7 +252,6 @@ func (e *Engine) ingestBatchDurable(events []mcelog.Event, sc *batchScratch) (ac
 const (
 	engineSnapMagic   = "CENG"
 	engineSnapVersion = 2
-	maxSnapSessions   = 1 << 24
 )
 
 type snapEncoder struct{ b []byte }
@@ -329,16 +329,24 @@ func (d *snapDecoder) time() time.Time {
 	}
 	return time.Unix(sec, int64(nsec)).UTC()
 }
-func (d *snapDecoder) count() int {
+
+// count decodes a collection length and bounds it by the bytes left at
+// minSize encoded bytes per element, so a corrupt count fails here rather
+// than sizing an allocation: what a payload makes the decoder allocate
+// stays proportional to the payload.
+func (d *snapDecoder) count(minSize int) int {
 	n := d.int()
-	if n < 0 || n > maxSnapSessions {
-		d.fail("implausible count %d", n)
+	if d.err != nil {
+		return 0
+	}
+	if left := len(d.b) - d.off; n < 0 || n > left/minSize {
+		d.fail("count %d exceeds the %d bytes left", n, left)
 		return 0
 	}
 	return n
 }
 func (d *snapDecoder) ints() []int {
-	n := d.count()
+	n := d.count(8)
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -348,7 +356,7 @@ func (d *snapDecoder) ints() []int {
 	}
 	return out
 }
-func (d *snapDecoder) bytes() []byte { return d.take(d.count()) }
+func (d *snapDecoder) bytes() []byte { return d.take(d.count(1)) }
 
 // zeroTimeSec encodes time.Time{} (whose UnixNano is undefined) as a
 // distinguishable (sec, nsec) sentinel.
@@ -487,7 +495,8 @@ func decodeSnapshotSessions(payload []byte) (hdr snapshotHeader, images []sessio
 		hdr.activeVersion = d.u64()
 		hdr.activeSince = d.u64()
 	}
-	n := d.count()
+	n := d.count(8) // each image carries at least its length prefix
+	images = make([]sessionImage, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		body := d.bytes()
 		if d.err != nil {
@@ -583,7 +592,10 @@ func (s *shard) installSession(key uint64, bs *bankSession) {
 // session to its pinned version. A version the model source cannot resolve
 // is a hard error — serving a bank under the wrong model would silently
 // diverge from the pre-crash verdict stream, which is worse than refusing
-// to boot. Called during New, before the consumers start.
+// to boot. Each shard's sessions are rebuilt on their own goroutine
+// (restoring the strategy sessions' feature state is the bulk of the
+// work); a failure on any of them fails the restore. Called during New,
+// before the consumers start.
 func (e *Engine) restoreSnapshot(payload []byte) error {
 	hdr, images, err := decodeSnapshotSessions(payload)
 	if err != nil {
@@ -596,18 +608,45 @@ func (e *Engine) restoreSnapshot(payload []byte) error {
 		}
 		e.seedEpochs(modelEpoch{version: hdr.activeVersion, sinceLSN: hdr.activeSince, strategy: strat})
 	}
-	for _, im := range images {
-		ds, derr := e.resolveDurable(im.version)
-		if derr != nil {
-			return derr
+	// Each pinned version is resolved once, up front: a model source need
+	// not be safe for concurrent lookups.
+	strategies := make(map[uint64]core.DurableStrategy)
+	lanes := make([][]int, len(e.shards)) // image indexes per shard
+	for i := range images {
+		v := images[i].version
+		if _, ok := strategies[v]; !ok {
+			ds, derr := e.resolveDurable(v)
+			if derr != nil {
+				return derr
+			}
+			strategies[v] = ds
 		}
-		bs, berr := buildSession(ds, im)
-		if berr != nil {
-			return berr
-		}
-		e.shardFor(im.key).installSession(im.key, bs)
-		e.recoveredSessions++
+		si := e.shardIndex(images[i].key)
+		lanes[si] = append(lanes[si], i)
 	}
+	errs := make([]error, len(e.shards))
+	var wg sync.WaitGroup
+	for si, lane := range lanes {
+		wg.Add(1)
+		go func(si int, lane []int) {
+			defer wg.Done()
+			s := e.shards[si]
+			for _, i := range lane {
+				im := &images[i]
+				bs, berr := buildSession(strategies[im.version], *im)
+				if berr != nil {
+					errs[si] = berr
+					return
+				}
+				s.installSession(im.key, bs)
+			}
+		}(si, lane)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	e.recoveredSessions += len(images)
 	return nil
 }
 
@@ -663,7 +702,91 @@ func (e *Engine) recoverDurable() error {
 	}
 	e.wal = w
 
-	var replayed uint64
+	replayed, err := e.replayJournal(w)
+	if err != nil {
+		w.Close()
+		e.wal = nil
+		return fmt.Errorf("stream: replaying journal: %w", err)
+	}
+	e.recoveredEvents = replayed
+	e.metrics.recoveredSessions.Set(float64(e.recoveredSessions))
+	e.metrics.recoveredEvents.Set(float64(replayed))
+	return nil
+}
+
+// replayBatch is how many records the journal reader hands a shard's
+// replay worker at once, and replayBatches how many such batches a shard
+// has in flight: enough to amortise the hand-off and keep every worker
+// busy, few enough that replay memory stays a few hundred KB per shard
+// whatever the journal's length.
+const (
+	replayBatch   = 512
+	replayBatches = 4
+)
+
+// replayLane is one shard's replay worker: batches of records in LSN
+// order arrive on feed and go back on free once applied, and out collects
+// the side effects of the records that had any.
+type replayLane struct {
+	feed chan []queued
+	free chan []queued
+	out  []replayOutput
+}
+
+// replayOutput is what replaying one record produced: the actions to emit
+// or the dead letter to quarantine, tagged with the record's LSN so the
+// shards' outputs can be merged back into journal order.
+type replayOutput struct {
+	lsn     uint64
+	shard   *shard
+	actions []Action
+	dead    *DeadLetter
+}
+
+// replayJournal replays the whole journal through the apply path, one
+// worker per shard. The calling goroutine reads and decodes the records
+// in LSN order, installs model epochs as it meets their swap records
+// (safe ahead of the workers, because a replayed record binds the epoch
+// at its own LSN, never the latest one), and streams bounded per-shard
+// batches to the workers. Each shard therefore applies its records in LSN
+// order, which is all a session's state depends on. The actions and dead
+// letters are collected per shard and, once every worker is done, emitted
+// and quarantined in LSN order: the sequence on Actions(), including what
+// its drop-oldest buffer keeps, is exactly the serial replay's. A bad
+// record stops the reading, but the records before it still reach their
+// shards and their output is still emitted before the error returns, as
+// a serial replay would have left them. Replayed records go straight to
+// apply, never through the live rings, so they do not count as processed.
+func (e *Engine) replayJournal(w *walJournal) (replayed uint64, err error) {
+	lanes := make([]*replayLane, len(e.shards))
+	var wg sync.WaitGroup
+	for i := range lanes {
+		ln := &replayLane{
+			feed: make(chan []queued, replayBatches),
+			free: make(chan []queued, replayBatches),
+		}
+		for j := 0; j < replayBatches; j++ {
+			ln.free <- make([]queued, 0, replayBatch)
+		}
+		lanes[i] = ln
+		wg.Add(1)
+		go func(s *shard) {
+			defer wg.Done()
+			for batch := range ln.feed {
+				for _, q := range batch {
+					out, dead := e.apply(s, q)
+					if out != nil || dead != nil {
+						ln.out = append(ln.out, replayOutput{lsn: q.lsn, shard: s, actions: out, dead: dead})
+					}
+				}
+				ln.free <- batch[:0]
+			}
+		}(e.shards[i])
+	}
+	pending := make([][]queued, len(lanes))
+	for i, ln := range lanes {
+		pending[i] = <-ln.free
+	}
 	err = w.Replay(func(lsn uint64, payload []byte) error {
 		if version, isSwap := decodeSwapRecord(payload); isSwap {
 			// Re-install the epoch at its original position so sessions
@@ -682,25 +805,35 @@ func (e *Engine) recoverDurable() error {
 			return derr
 		}
 		replayed++
-		s := e.shardFor(ev.Addr.BankKey())
-		out, dead := e.apply(s, queued{ev: ev, lsn: lsn})
-		if dead != nil {
-			e.quarantine(s, dead)
-		}
-		for _, a := range out {
-			e.emit(a)
+		si := e.shardIndex(ev.Addr.BankKey())
+		pending[si] = append(pending[si], queued{ev: ev, lsn: lsn})
+		if len(pending[si]) == replayBatch {
+			lanes[si].feed <- pending[si]
+			pending[si] = <-lanes[si].free
 		}
 		return nil
 	})
-	if err != nil {
-		w.Close()
-		e.wal = nil
-		return fmt.Errorf("stream: replaying journal: %w", err)
+	for i, ln := range lanes {
+		if len(pending[i]) > 0 {
+			ln.feed <- pending[i]
+		}
+		close(ln.feed)
 	}
-	e.recoveredEvents = replayed
-	e.metrics.recoveredSessions.Set(float64(e.recoveredSessions))
-	e.metrics.recoveredEvents.Set(float64(replayed))
-	return nil
+	wg.Wait()
+	var outs []replayOutput
+	for _, ln := range lanes {
+		outs = append(outs, ln.out...)
+	}
+	sort.Slice(outs, func(i, j int) bool { return outs[i].lsn < outs[j].lsn })
+	for _, o := range outs {
+		if o.dead != nil {
+			e.quarantine(o.shard, o.dead)
+		}
+		for _, a := range o.actions {
+			e.emit(a)
+		}
+	}
+	return replayed, err
 }
 
 // resetSessions drops all restored sessions and shard bookkeeping (used

@@ -90,8 +90,8 @@ type Config struct {
 	// Geometry validates incoming addresses. Zero means the active
 	// topology profile's geometry.
 	Geometry hbm.Geometry
-	// Shards is the number of session shards (and consumer goroutines).
-	// Zero means GOMAXPROCS.
+	// Shards is the number of session shards (and consumer goroutines, and
+	// the workers recovery replays and restores on). Zero means GOMAXPROCS.
 	Shards int
 	// QueueDepth is the per-shard input queue capacity. Zero means 1024.
 	QueueDepth int

@@ -79,10 +79,10 @@ var (
 )
 
 // FaultFS wraps another FS and injects failures: partial writes after a
-// byte budget, fsync errors after a sync count, and open errors. It is the
-// harness behind the durability fault-injection tests — a crash-safe WAL
-// must turn every one of these into a clean error, never a panic and never
-// a corrupted acknowledged record.
+// byte budget, fsync errors after a sync count, open errors and short
+// reads. It is the harness behind the durability fault-injection tests — a
+// crash-safe WAL must turn every one of these into a clean error, never a
+// panic and never a corrupted acknowledged record.
 //
 // All knobs are safe for concurrent use and may be re-armed mid-test.
 type FaultFS struct {
@@ -92,6 +92,7 @@ type FaultFS struct {
 	writeBudget  int64 // bytes writable before ErrInjectedWrite; <0 = unlimited
 	syncsLeft    int   // successful syncs before ErrInjectedSync; <0 = unlimited
 	failOpens    bool
+	readCap      int // bytes one Read may return; <=0 = unlimited
 	writeFaults  int
 	syncFaults   int
 	bytesWritten int64
@@ -123,6 +124,15 @@ func (f *FaultFS) FailSyncAfter(n int) {
 func (f *FaultFS) FailOpens(fail bool) {
 	f.mu.Lock()
 	f.failOpens = fail
+	f.mu.Unlock()
+}
+
+// ShortReads caps every subsequent Read at n bytes, the short reads a
+// reader must loop over rather than mistake for a torn record. n <= 0
+// disarms.
+func (f *FaultFS) ShortReads(n int) {
+	f.mu.Lock()
+	f.readCap = n
 	f.mu.Unlock()
 }
 
@@ -160,9 +170,17 @@ type faultFile struct {
 	inner File
 }
 
-func (f *faultFile) Read(p []byte) (int, error) { return f.inner.Read(p) }
-func (f *faultFile) Close() error               { return f.inner.Close() }
-func (f *faultFile) Truncate(size int64) error  { return f.inner.Truncate(size) }
+func (f *faultFile) Read(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	limit := f.fs.readCap
+	f.fs.mu.Unlock()
+	if limit > 0 && len(p) > limit {
+		p = p[:limit]
+	}
+	return f.inner.Read(p)
+}
+func (f *faultFile) Close() error              { return f.inner.Close() }
+func (f *faultFile) Truncate(size int64) error { return f.inner.Truncate(size) }
 func (f *faultFile) Seek(offset int64, whence int) (int64, error) {
 	return f.inner.Seek(offset, whence)
 }

@@ -43,7 +43,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, recHdrSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lsn, payload, _, ok := readRecord(bytes.NewReader(data))
+		lsn, payload, ok := newRecordReader(bytes.NewReader(data)).next()
 		if ok {
 			// A frame that validates must re-verify against its own CRC.
 			var lb [8]byte
@@ -51,7 +51,7 @@ func FuzzWALDecode(f *testing.F) {
 			s := crc32.Update(0, crcTable, lb[:])
 			s = crc32.Update(s, crcTable, payload)
 			if len(data) >= 8 && s != binary.LittleEndian.Uint32(data[4:8]) {
-				t.Fatalf("readRecord accepted a frame whose CRC does not verify")
+				t.Fatalf("next accepted a frame whose CRC does not verify")
 			}
 		}
 

@@ -151,8 +151,20 @@ func ReadSnapshot(fs FS, path string) (seq uint64, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("wal: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxSnapshotBytes+snapHdrSize+8))
+	// One read into a buffer sized from the file's length: no doubling
+	// and copying of a growing buffer for a snapshot of tens of MB.
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
+		return 0, nil, fmt.Errorf("wal: sizing snapshot: %w", err)
+	}
+	if size > MaxSnapshotBytes+snapHdrSize+4 {
+		return 0, nil, fmt.Errorf("wal: snapshot file of %d bytes exceeds max payload %d", size, MaxSnapshotBytes)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, nil, fmt.Errorf("wal: reading snapshot: %w", err)
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
 		return 0, nil, fmt.Errorf("wal: reading snapshot: %w", err)
 	}
 	return DecodeSnapshot(data)

@@ -324,48 +324,112 @@ func scanSegment(fs FS, path string, firstLSN uint64) (lastLSN uint64, validSize
 		return 0, 0, fmt.Errorf("wal: opening segment for scan: %w", err)
 	}
 	defer f.Close()
-	var hdr [segHdrSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, -1, nil // too short for a header: unrecoverable segment
-	}
-	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
-		return 0, -1, nil
+	rr := newRecordReader(f)
+	if rr.header() != nil {
+		return 0, -1, nil // too short for a header, or not one: unrecoverable segment
 	}
 	offset := int64(segHdrSize)
 	for {
-		lsn, payload, n, ok := readRecord(f)
+		lsn, payload, ok := rr.next()
 		if !ok {
 			return lastLSN, offset, nil
 		}
-		_ = payload
 		lastLSN = lsn
-		offset += n
+		offset += int64(recHdrSize + len(payload))
 	}
 }
 
-// readRecord reads one frame from r. ok is false on EOF, a short read, a
-// CRC mismatch or an implausible length — every way a tail can be torn.
-func readRecord(r io.Reader) (lsn uint64, payload []byte, size int64, ok bool) {
-	var hdr [recHdrSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, false
+// readBufSize is the segment reader's buffer: one read(2) per this many
+// bytes, where reading frame by frame costs two per record.
+const readBufSize = 256 << 10
+
+// recordReader decodes the frames of one segment through a single reused
+// buffer. The payloads it returns alias that buffer, so each is valid only
+// until the next call to next. Consumption mirrors reading the frames one
+// io.ReadFull at a time: a frame cut short consumes the rest of the file,
+// an implausible length consumes the header, a CRC mismatch the whole
+// frame — which is what atEOF's clean-end-versus-corruption verdict
+// depends on.
+type recordReader struct {
+	src  io.Reader
+	buf  []byte
+	r, w int   // buf[r:w] is read but not yet consumed
+	err  error // first error from src (io.EOF at the end of the file)
+}
+
+func newRecordReader(src io.Reader) *recordReader {
+	return &recordReader{src: src, buf: make([]byte, readBufSize)}
+}
+
+// fill buffers at least n unconsumed bytes, reading as often as it takes.
+// It reports false once the source ends (or fails) short of n.
+func (rr *recordReader) fill(n int) bool {
+	if rr.w-rr.r >= n {
+		return true
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	lsn = binary.LittleEndian.Uint64(hdr[8:16])
+	if rr.r+n > len(rr.buf) {
+		buf := rr.buf
+		if n > len(buf) {
+			buf = make([]byte, n) // one frame larger than the buffer
+		}
+		rr.w = copy(buf, rr.buf[rr.r:rr.w])
+		rr.r, rr.buf = 0, buf
+	}
+	for rr.w-rr.r < n && rr.err == nil {
+		var m int
+		m, rr.err = rr.src.Read(rr.buf[rr.w:])
+		rr.w += m
+	}
+	return rr.w-rr.r >= n
+}
+
+// header reads and checks the segment header; a failure is ErrCorrupt.
+func (rr *recordReader) header() error {
+	if !rr.fill(segHdrSize) {
+		rr.r = rr.w
+		return fmt.Errorf("wal: %w: segment header unreadable", ErrCorrupt)
+	}
+	hdr := rr.buf[rr.r : rr.r+segHdrSize]
+	rr.r += segHdrSize
+	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
+		return fmt.Errorf("wal: %w: bad segment magic/version", ErrCorrupt)
+	}
+	return nil
+}
+
+// next decodes one frame. ok is false at the end of the file, on a short
+// frame, an implausible length or a CRC mismatch — every way a tail can be
+// torn. The payload aliases the reader's buffer.
+func (rr *recordReader) next() (lsn uint64, payload []byte, ok bool) {
+	if !rr.fill(recHdrSize) {
+		rr.r = rr.w
+		return 0, nil, false
+	}
+	length := binary.LittleEndian.Uint32(rr.buf[rr.r : rr.r+4])
 	if length > MaxRecordBytes {
-		return 0, nil, 0, false
+		rr.r += recHdrSize
+		return 0, nil, false
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, false
+	size := recHdrSize + int(length)
+	if !rr.fill(size) {
+		rr.r = rr.w
+		return 0, nil, false
 	}
-	sum := crc32.Update(0, crcTable, hdr[8:16])
-	sum = crc32.Update(sum, crcTable, payload)
-	if sum != crc {
-		return 0, nil, 0, false
+	frame := rr.buf[rr.r : rr.r+size]
+	rr.r += size
+	sum := crc32.Update(0, crcTable, frame[8:recHdrSize])
+	sum = crc32.Update(sum, crcTable, frame[recHdrSize:])
+	if sum != binary.LittleEndian.Uint32(frame[4:8]) {
+		return 0, nil, false
 	}
-	return lsn, payload, int64(recHdrSize) + int64(length), true
+	return binary.LittleEndian.Uint64(frame[8:16]), frame[recHdrSize:], true
+}
+
+// atEOF reports whether nothing follows the consumed bytes: after a bad
+// frame, true means a clean (torn) end and false means corruption with
+// data behind it.
+func (rr *recordReader) atEOF() bool {
+	return !rr.fill(1) && rr.err == io.EOF
 }
 
 // openSegment creates and syncs a fresh segment starting at lsn and makes
@@ -664,8 +728,10 @@ func (w *WAL) Segments() int {
 
 // Replay calls fn for every record in the journal in LSN order. A record
 // that fails validation is ErrCorrupt: Open has already truncated the
-// torn tail, so nothing invalid can legitimately remain. fn's payload is
-// only valid for the duration of the call.
+// torn tail, so nothing invalid can legitimately remain. Each segment is
+// read in one buffered pass, and fn's payload aliases the read buffer: it
+// is valid only for the duration of the call, and fn must copy whatever
+// it keeps (ExportRange does).
 func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
 	// Replay reads the segment files, so records still sitting in the
@@ -686,7 +752,7 @@ func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 		if err != nil {
 			return fmt.Errorf("wal: opening segment for replay: %w", err)
 		}
-		err = replaySegment(f, valid, fn)
+		err = replaySegment(newRecordReader(f), valid, fn)
 		f.Close()
 		if err != nil {
 			return err
@@ -697,21 +763,16 @@ func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 
 // replaySegment streams one segment's records through fn. Records at or
 // past the valid horizon (appends racing the replay) are skipped.
-func replaySegment(f File, horizon uint64, fn func(lsn uint64, payload []byte) error) error {
-	var hdr [segHdrSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w: segment header unreadable", ErrCorrupt)
-	}
-	if string(hdr[:4]) != segMagic || binary.LittleEndian.Uint16(hdr[4:6]) != segVersion {
-		return fmt.Errorf("wal: %w: bad segment magic/version", ErrCorrupt)
+func replaySegment(rr *recordReader, horizon uint64, fn func(lsn uint64, payload []byte) error) error {
+	if err := rr.header(); err != nil {
+		return err
 	}
 	for {
-		lsn, payload, _, ok := readRecord(f)
+		lsn, payload, ok := rr.next()
 		if !ok {
-			// Distinguish clean EOF from mid-segment corruption: try to
-			// read one more byte.
-			var b [1]byte
-			if _, err := f.Read(b[:]); err == io.EOF {
+			// A bad frame with nothing behind it is the clean end of the
+			// segment; one with data behind it is interior corruption.
+			if rr.atEOF() {
 				return nil
 			}
 			return ErrCorrupt

@@ -34,12 +34,13 @@ go build ./...
 echo "==> go test"
 go test ./... "$@"
 
-echo "==> go test -race (parallel-training equivalence focus)"
-# Fast-failing race pass over the tests that exercise the shared worker
-# pool hardest: parallel-vs-serial equivalence, flat-tree round-trips and
-# batch inference. The full -race suite below still covers everything.
-go test -race -run 'Equivalence|Parallel|RoundTrip|Batch' \
-    ./internal/mltree/ ./internal/core/
+echo "==> go test -race (parallel training and parallel recovery focus)"
+# Fast-failing race pass over the tests that exercise shared workers
+# hardest: parallel-vs-serial equivalence, flat-tree round-trips, batch
+# inference, and recovery, whose journal replay and snapshot restore run
+# one worker per shard. The full -race suite below still covers everything.
+go test -race -run 'Equivalence|Parallel|RoundTrip|Batch|Recovery|Replay' \
+    ./internal/mltree/ ./internal/core/ ./internal/stream/ ./internal/wal/
 
 echo "==> go test -race"
 go test -race ./... "$@"
